@@ -32,7 +32,7 @@ def main():
     x, diag = admm_complete(obs, weights, cfg)
 
     print("observed fraction: %.0f%%" % (100 * mask.mean()))
-    print("iterations: %d (converged=%s)" % (diag.iterations, diag.converged))
+    print("iterations: %d (stopped on %s)" % (diag.iterations, diag.stop_reason))
     print("top singular values of estimate:", np.round(svd(x).spectrum[:4], 3))
     print("normalized distance, zero fill : %.4f"
           % normalized_distance(m * mask, m0))

@@ -69,6 +69,9 @@ class ResultRecord:
     mean_norm_dist: float
     mean_datafit: float
     best: bool = field(default=False, compare=False)
+    # per instance, in instance order: ADMM iterations and stop reason
+    iterations: tuple = ()
+    stop_reasons: tuple = ()
 
 
 def gen_instance(spec, instance_index):
@@ -165,7 +168,9 @@ def run_sweep(spec, cfg=None):
     """Solve every (fraction, mu, instance) cell and aggregate records.
 
     Per fraction, the record with the lowest mean normalized distance is
-    flagged as best. Fully deterministic given spec.seed.
+    flagged as best. Each record also keeps its cells' iteration counts
+    and stop reasons, so a capped solve shows even where the mean hides
+    it. Fully deterministic given spec.seed.
     """
     if cfg is None:
         cfg = AdmmConfig(rho=1.5, max_iters=300, primal_tol=1e-6, rel_obj_tol=1e-9)
@@ -173,15 +178,17 @@ def run_sweep(spec, cfg=None):
     for fraction in spec.missing_fractions:
         per_mu = []
         for mu in spec.mu_grid:
-            dists, fits = [], []
+            dists, fits, iters, reasons = [], [], [], []
             for idx in range(spec.instances):
                 m0, m = gen_instance(spec, idx)
                 mask = _make_mask(spec, fraction, idx)
                 obs = MaskedObservations(m=m, w=mask)
                 weights = instance_weights(m, mu)
-                x, _ = admm_complete(obs, weights, cfg)
+                x, diag = admm_complete(obs, weights, cfg)
                 dists.append(normalized_distance(x, m0))
                 fits.append(datafit(x, obs))
+                iters.append(diag.iterations)
+                reasons.append(diag.stop_reason)
             per_mu.append(
                 ResultRecord(
                     method="rh",
@@ -191,6 +198,8 @@ def run_sweep(spec, cfg=None):
                     instances=spec.instances,
                     mean_norm_dist=float(np.mean(dists)),
                     mean_datafit=float(np.mean(fits)),
+                    iterations=tuple(iters),
+                    stop_reasons=tuple(reasons),
                 )
             )
         best = min(range(len(per_mu)), key=lambda i: per_mu[i].mean_norm_dist)

@@ -19,7 +19,7 @@ from .bench import (
 )
 from .penalty import preset
 from .proximal import prox_Rh
-from .solver import AdmmConfig, MaskedObservations, admm_complete, solve_objective
+from .solver import AdmmConfig, MaskedObservations, admm_complete
 
 __all__ = ["run", "main", "load_matrix", "save_matrix"]
 
@@ -110,9 +110,10 @@ def _cmd_complete(args):
     )
     x, diag = admm_complete(obs, weights, cfg)
     save_matrix(x, args.out)
+    # the last trace entry is the objective of the returned iterate
     print(
-        "objective %.9g after %d iterations (converged=%s)"
-        % (solve_objective(x, obs, weights), diag.iterations, diag.converged)
+        "objective %.9g after %d iterations (converged=%s, stop=%s)"
+        % (diag.objective_trace[-1], diag.iterations, diag.converged, diag.stop_reason)
     )
     return 0
 

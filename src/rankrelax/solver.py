@@ -3,6 +3,10 @@
 Minimizes  R_h(sing(X)) + ||W . (X - M)||_F^2  by splitting the penalty
 and the data term: the X-update is the spectral prox, the Y-update has
 an elementwise closed form, and the scaled dual accumulates the gap.
+
+The primal residual is tested on every iteration. The objective costs a
+full SVD and a PAV pass, so it is evaluated only where the stall test
+uses it, once per _STALL_WINDOW iterations, plus once at exit.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +26,8 @@ __all__ = [
     "admm_complete",
 ]
 
-# relative-objective stall is measured across this many iterations
+# the objective is evaluated, and its relative stall tested, once per
+# this many iterations
 _STALL_WINDOW = 10
 
 
@@ -62,10 +67,25 @@ class AdmmConfig:
 
 @dataclass
 class AdmmDiagnostics:
+    """Why and when a solve stopped, with its traces.
+
+    objective_trace holds the objective of Y at iterations _STALL_WINDOW,
+    2*_STALL_WINDOW, ... and, last, at exit (one entry, not two, when the
+    solve stops on a window boundary), so it has ceil(iterations /
+    _STALL_WINDOW) entries. The residual traces have one entry per
+    iteration: primal ||X_k - Y_k||_F and dual rho*||Y_k - Y_{k-1}||_F.
+    stop_reason is "primal", "stall" or "cap".
+    """
+
     iterations: int = 0
     objective_trace: list = field(default_factory=list)
     primal_residual_trace: list = field(default_factory=list)
-    converged: bool = False
+    dual_residual_trace: list = field(default_factory=list)
+    stop_reason: str | None = None
+
+    @property
+    def converged(self):
+        return self.stop_reason in ("primal", "stall")
 
 
 def data_update(t, obs, rho):
@@ -87,31 +107,43 @@ def solve_objective(x, obs, w):
 def admm_complete(obs, w, cfg=None):
     """Run ADMM on the masked completion problem.
 
-    Returns the data-consistent iterate Y together with per-iteration
-    diagnostics. Initialization is X = Y = dual = 0, so runs are
-    deterministic.
+    Stops when the primal residual reaches cfg.primal_tol (tested every
+    iteration), when the objective moves by at most cfg.rel_obj_tol
+    (relative) between two consecutive window checkpoints (tested every
+    _STALL_WINDOW iterations), or at cfg.max_iters. Returns the
+    data-consistent iterate Y and its AdmmDiagnostics; the last
+    objective_trace entry is the objective of the returned Y.
+    Initialization is X = Y = dual = 0, so runs are deterministic.
     """
     if cfg is None:
         cfg = AdmmConfig()
     shape = obs.m.shape
     y = np.zeros(shape)
     lam = np.zeros(shape)
-    diag = AdmmDiagnostics()
-    for it in range(cfg.max_iters):
+    diag = AdmmDiagnostics(stop_reason="cap")
+    trace = diag.objective_trace
+    evaluated_at = 0
+    for it in range(1, cfg.max_iters + 1):
+        y_prev = y
         x = prox_Rh(y - lam, w, cfg.rho)
         y = data_update(x + lam, obs, cfg.rho)
         lam = lam + x - y
         residual = float(np.linalg.norm(x - y))
-        objective = solve_objective(y, obs, w)
         diag.primal_residual_trace.append(residual)
-        diag.objective_trace.append(objective)
-        diag.iterations = it + 1
+        diag.dual_residual_trace.append(cfg.rho * float(np.linalg.norm(y - y_prev)))
+        diag.iterations = it
         if residual <= cfg.primal_tol:
-            diag.converged = True
+            diag.stop_reason = "primal"
             break
-        if it >= _STALL_WINDOW:
-            prev = diag.objective_trace[-1 - _STALL_WINDOW]
-            if abs(objective - prev) <= cfg.rel_obj_tol * (1.0 + abs(objective)):
-                diag.converged = True
+        if it % _STALL_WINDOW == 0:
+            objective = solve_objective(y, obs, w)
+            trace.append(objective)
+            evaluated_at = it
+            if len(trace) > 1 and abs(objective - trace[-2]) <= cfg.rel_obj_tol * (
+                1.0 + abs(objective)
+            ):
+                diag.stop_reason = "stall"
                 break
+    if evaluated_at != diag.iterations:
+        trace.append(solve_objective(y, obs, w))
     return y, diag

@@ -2,13 +2,15 @@
 
 Each test exercises one release criterion at its stated tolerance and
 prints a one-line PASS/FAIL verdict (run pytest with -s to see them).
-The benchmark reproduction test takes a few minutes; everything else is
+The benchmark reproduction test takes a few minutes and carries the
+`slow` marker (`pytest -m "not slow"` skips it); everything else is
 fast.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from rankrelax import (
     AdmmConfig,
@@ -187,6 +189,7 @@ def test_6_admm_nuclear_sanity():
 REFERENCE_UNIFORM = {0.0: 0.0199, 0.2: 0.0198, 0.4: 0.0248, 0.6: 0.0466}
 
 
+@pytest.mark.slow
 def test_7_benchmark_reproduction():
     cfg = AdmmConfig(rho=1.5, max_iters=300, primal_tol=1e-6, rel_obj_tol=1e-9)
     # mu pre-tuned on the default grid offline; the sweep itself still

@@ -199,6 +199,18 @@ class TestRunSweep:
         assert r1 == r2
         assert all(a.mean_norm_dist == b.mean_norm_dist for a, b in zip(r1, r2))
 
+    def test_records_carry_per_instance_convergence(self):
+        spec = tiny_spec(missing_fractions=(0.25,), mu_grid=(0.3,))
+        cfg = AdmmConfig(rho=1.5, max_iters=40, primal_tol=1e-5, rel_obj_tol=1e-8)
+        (record,) = run_sweep(spec, cfg)
+        assert spec.instances == 2
+        assert len(record.iterations) == len(record.stop_reasons) == 2
+        for iters, reason in zip(record.iterations, record.stop_reasons):
+            assert 1 <= iters <= cfg.max_iters
+            assert reason in ("primal", "stall", "cap")
+            if reason == "cap":
+                assert iters == cfg.max_iters
+
     def test_tracking_pattern_runs(self):
         spec = tiny_spec(pattern="tracking", missing_fractions=(0.25,), mu_grid=(0.3,))
         cfg = AdmmConfig(rho=1.5, max_iters=40, primal_tol=1e-5, rel_obj_tol=1e-8)

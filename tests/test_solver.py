@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from rankrelax import (
     solve_objective,
     svd,
 )
+
+from reference_admm import admm_every_iteration, stalled
 
 
 def full_mask_obs(m):
@@ -162,7 +166,8 @@ class TestAdmmComplete:
         y, diag = admm_complete(obs, w, cfg)
         assert diag.converged
         assert diag.primal_residual_trace[-1] <= cfg.primal_tol
-        assert len(diag.objective_trace) == diag.iterations
+        assert len(diag.objective_trace) == math.ceil(diag.iterations / 10)
+        assert diag.objective_trace[-1] == solve_objective(y, obs, w)
 
     def test_improves_on_zero_init(self):
         rng = np.random.default_rng(6)
@@ -200,3 +205,65 @@ class TestAdmmComplete:
         y2, d2 = admm_complete(obs, w, AdmmConfig(max_iters=300))
         assert np.array_equal(y1, y2)
         assert d1.objective_trace == d2.objective_trace
+
+
+def small_masked_problem():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 4))
+    mask = (rng.uniform(size=(4, 4)) < 0.8).astype(float)
+    return MaskedObservations(m, mask), preset("nuclear", 4, mu=0.5)
+
+
+class TestWindowedObjective:
+    """The solver against a loop that evaluates the objective every iteration."""
+
+    @pytest.mark.parametrize(
+        "max_iters, reason", [(5000, "primal"), (5, "cap"), (37, "cap"), (40, "cap")]
+    )
+    def test_matches_every_iteration_loop(self, max_iters, reason):
+        obs, w = small_masked_problem()
+        cfg = AdmmConfig(max_iters=max_iters, primal_tol=1e-8, rel_obj_tol=1e-15)
+        y, diag = admm_complete(obs, w, cfg)
+        ref = admm_every_iteration(obs, w, cfg)
+        assert diag.stop_reason == reason
+        assert diag.converged == (reason != "cap")
+        assert np.array_equal(y, ref.y)
+        assert diag.iterations == ref.iterations
+        assert diag.converged == ref.converged
+        # checkpoints at 10, 20, ... then the exit value, counted once
+        n = diag.iterations
+        expected = [ref.objective_trace[i - 1] for i in range(10, n, 10)]
+        assert diag.objective_trace == expected + [ref.objective_trace[-1]]
+
+    def test_stall_stops_on_a_window_boundary(self):
+        obs, w = small_masked_problem()
+        cfg = AdmmConfig(max_iters=5000, primal_tol=1e-14, rel_obj_tol=1e-4)
+        y, diag = admm_complete(obs, w, cfg)
+        old = admm_every_iteration(obs, w, cfg)
+        assert diag.stop_reason == "stall" and diag.converged
+        n = diag.iterations
+        assert n % 10 == 0
+        assert n >= old.iterations
+        # the every-iteration loop run to n has the same iterate, and its
+        # stall condition holds at n
+        ref = admm_every_iteration(
+            obs, w, AdmmConfig(max_iters=n, primal_tol=1e-14, rel_obj_tol=1e-300)
+        )
+        assert ref.iterations == n
+        assert np.array_equal(y, ref.y)
+        assert stalled(ref.objective_trace[-1], ref.objective_trace[-11], cfg.rel_obj_tol)
+        assert diag.objective_trace[-2:] == [
+            ref.objective_trace[-11],
+            ref.objective_trace[-1],
+        ]
+
+    def test_dual_residual_trace(self):
+        obs, w = small_masked_problem()
+        cfg = AdmmConfig(max_iters=3, rel_obj_tol=1e-15)
+        first, _ = admm_complete(obs, w, AdmmConfig(max_iters=1))
+        _, diag = admm_complete(obs, w, cfg)
+        assert len(diag.dual_residual_trace) == diag.iterations == 3
+        # Y_0 = 0, so the first entry is rho * ||Y_1||
+        assert diag.dual_residual_trace[0] == pytest.approx(
+            cfg.rho * np.linalg.norm(first)
+        )
