@@ -153,7 +153,7 @@ def datafit(x, obs):
 
 def instance_weights(m, mu, eps=DEFAULT_EPS):
     """Penalty weights from the measured spectrum for a given strength mu."""
-    s = svd(m).spectrum
+    s = svd(m, compute_uv=False)
     return make_weights(np.sqrt(mu) / (s + eps), mu / (s + eps))
 
 

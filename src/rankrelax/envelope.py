@@ -113,7 +113,7 @@ def eval_envelope(x, x0, w):
     x0 = check_matrix(x0)
     if x.shape != x0.shape:
         raise ValueError("x and x0 must have the same shape")
-    return eval_Rh(svd(x).spectrum, w) + float(np.sum((x - x0) ** 2))
+    return eval_Rh(svd(x, compute_uv=False), w) + float(np.sum((x - x0) ** 2))
 
 
 def fenchel_conjugate(y, x0, w):
@@ -126,7 +126,7 @@ def fenchel_conjugate(y, x0, w):
     x0 = check_matrix(x0)
     if y.shape != x0.shape:
         raise ValueError("y and x0 must have the same shape")
-    sz = svd(y / 2.0 + x0).spectrum
+    sz = svd(y / 2.0 + x0, compute_uv=False)
     if sz.shape[0] != len(w):
         raise ValueError("weights do not match matrix shape")
     r2 = np.maximum(sz - w.a, 0.0) ** 2

@@ -101,7 +101,7 @@ def solve_objective(x, obs, w):
     x = check_matrix(x)
     if x.shape != obs.m.shape:
         raise ValueError("shape mismatch with observations")
-    return eval_Rh(svd(x).spectrum, w) + float(np.sum((obs.w * (x - obs.m)) ** 2))
+    return eval_Rh(svd(x, compute_uv=False), w) + float(np.sum((obs.w * (x - obs.m)) ** 2))
 
 
 def admm_complete(obs, w, cfg=None):
