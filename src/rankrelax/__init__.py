@@ -13,25 +13,21 @@ from .bench import (
     write_results_csv,
 )
 from .envelope import (
-    SegmentSolve,
     eval_Rh,
     eval_envelope,
     fenchel_conjugate,
     maximizing_spectrum,
-    segment_max,
-    unconstrained_maximizers,
 )
 from .linalg import SvdFactors, compose, svd
 from .penalty import (
     InvalidWeightsError,
     PenaltyWeights,
     eval_h,
-    heuristic_weights,
     make_weights,
     preset,
     shrink_spectrum,
 )
-from .proximal import prox_Rh, prox_envelope, prox_spectrum, prox_unconstrained
+from .proximal import prox_Rh, prox_envelope, prox_spectrum
 from .solver import (
     AdmmConfig,
     AdmmDiagnostics,
@@ -49,7 +45,6 @@ __all__ = [
     "MaskedObservations",
     "PenaltyWeights",
     "ResultRecord",
-    "SegmentSolve",
     "SvdFactors",
     "admm_complete",
     "compose",
@@ -60,7 +55,6 @@ __all__ = [
     "eval_h",
     "fenchel_conjugate",
     "gen_instance",
-    "heuristic_weights",
     "instance_weights",
     "make_weights",
     "mask_tracking",
@@ -71,12 +65,9 @@ __all__ = [
     "prox_Rh",
     "prox_envelope",
     "prox_spectrum",
-    "prox_unconstrained",
     "run_sweep",
-    "segment_max",
     "shrink_spectrum",
     "solve_objective",
     "svd",
-    "unconstrained_maximizers",
     "write_results_csv",
 ]

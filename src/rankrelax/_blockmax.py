@@ -1,10 +1,17 @@
-"""Exact maximization of separable piecewise-quadratic concave objectives.
+"""The spectral objective shared by the envelope and the prox, and its exact
+maximization over the monotone cone.
 
-Each index i carries a concave scalar function with a single breakpoint
-t_i: one quadratic (A, B, C) below t_i, another at and above it. Block
-sums are therefore piecewise quadratic with at most |block| breakpoints,
-so the maximum over an interval is found exactly by enumerating pieces
-and closed-form vertices. The monotone-cone maximization merges adjacent
+Both `R_h` and its prox maximize, over non-increasing non-negative z,
+the separable sum of
+
+    min(b_i, [z - a_i]_+^2) - c * (z - s_i)^2 + z^2 - [z - a_i]_+^2,
+
+with c = 1 for the envelope and c = (rho+1)/rho for the prox. For
+c >= 1 each term is concave with a single breakpoint t_i = a_i + sqrt(b_i):
+one quadratic (A, B, C) below t_i, another at and above it. Block sums
+are therefore piecewise quadratic with at most |block| breakpoints, so
+the maximum over [0, inf) is found exactly by enumerating pieces and
+closed-form vertices. The monotone-cone maximization merges adjacent
 blocks pool-adjacent-violators style: each merged block is re-solved
 over [0, inf) and carries one constant value.
 """
@@ -12,22 +19,37 @@ over [0, inf) and carries one constant value.
 import numpy as np
 
 
+def coefficients(s, w, c, scale):
+    """Per-index (threshold, below-quadratic, above-quadratic) arrays.
 
-def piece_argmax(thresholds, below, above, idx, lo, hi):
-    """Maximize the block sum over [lo, hi]; returns (argmax, value).
+    Callers pass a `scale` such that no optimal value exceeds
+    max(a) + max(finite sqrt(b)) + 2 * scale. An infinite b_i never
+    saturates the min, so it is replaced by a finite stand-in past that
+    bound: the objective is unchanged wherever the optimum can lie, and
+    every breakpoint stays finite.
+    """
+    finite = np.sqrt(w.b[np.isfinite(w.b)]).max(initial=0.0)
+    cap = 10.0 * (w.a[-1] + finite + scale) + 1.0
+    root_b = np.minimum(np.sqrt(w.b), cap)
+    t = w.a + root_b
+    k = s.shape[0]
+    below = np.column_stack([np.full(k, 1.0 - c), 2.0 * c * s, -c * s**2])
+    above = np.column_stack(
+        [np.full(k, -c), 2.0 * (c * s + w.a), root_b**2 - w.a**2 - c * s**2]
+    )
+    return t, below, above
+
+
+def piece_argmax(thresholds, below, above, idx):
+    """Maximize the block sum over [0, inf); returns the argmax.
 
     Pieces are enumerated via prefix sums in threshold order; candidates
     (piece endpoints and interior vertices) are evaluated in ascending
     order so flat stretches resolve to their left end deterministically.
     """
-    idx = np.asarray(idx, dtype=int)
-    if idx.size == 0:
-        raise ValueError("empty block")
-    if lo < 0 or hi < lo:
-        raise ValueError("need 0 <= lo <= hi")
     t = thresholds[idx]
-    cuts = np.unique(t[(t > lo) & (t < hi)])
-    edges = np.concatenate(([lo], cuts, [hi]))
+    cuts = np.unique(t[(t > 0.0) & (t < np.inf)])
+    edges = np.concatenate(([0.0], cuts, [np.inf]))
     lefts, rights = edges[:-1], edges[1:]
 
     # coefficient sums per piece: start from all-below, swap to above as
@@ -47,33 +69,24 @@ def piece_argmax(thresholds, below, above, idx, lo, hi):
     flat = np.column_stack([cands.T.ravel(), vals.T.ravel()])
     flat = flat[~np.isnan(flat[:, 0])]
     best = int(np.argmax(flat[:, 1]))  # first max: leftmost in scan order
-    return float(flat[best, 0]), float(flat[best, 1])
+    return float(flat[best, 0])
 
 
-def monotone_argmax(thresholds, below, above, init=None):
+def monotone_argmax(thresholds, below, above, init):
     """Maximize the separable sum over the non-increasing non-negative cone.
 
-    Standard pool-adjacent-violators scheme: start from per-index
-    maximizers over [0, inf); whenever adjacent block values violate the
-    ordering, merge the blocks and re-solve the union. `init` may supply
-    the per-index maximizers in closed form to skip the singleton solves.
+    Standard pool-adjacent-violators scheme: start from the per-index
+    maximizers over [0, inf), given in closed form as `init`; whenever
+    adjacent block values violate the ordering, merge the blocks and
+    re-solve the union.
     """
     k = thresholds.shape[0]
     blocks = []  # (start, end inclusive, value)
     for i in range(k):
-        start = i
-        if init is not None:
-            s = init[i]
-        else:
-            s, _ = piece_argmax(
-                thresholds, below, above, np.arange(i, i + 1), 0.0, np.inf
-            )
+        start, s = i, init[i]
         while blocks and blocks[-1][2] < s:
-            start = blocks[-1][0]
-            blocks.pop()
-            s, _ = piece_argmax(
-                thresholds, below, above, np.arange(start, i + 1), 0.0, np.inf
-            )
+            start = blocks.pop()[0]
+            s = piece_argmax(thresholds, below, above, np.arange(start, i + 1))
         blocks.append((start, i, s))
     out = np.empty(k)
     for start, end, s in blocks:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import check_matrix, svd
-from .penalty import DEFAULT_EPS, make_weights
+from .penalty import make_weights
 from .solver import AdmmConfig, MaskedObservations, admm_complete
 
 __all__ = [
@@ -151,7 +151,7 @@ def datafit(x, obs):
     return float(np.linalg.norm(obs.w * (x - obs.m)))
 
 
-def instance_weights(m, mu, eps=DEFAULT_EPS):
+def instance_weights(m, mu, eps=1e-6):
     """Penalty weights from the measured spectrum for a given strength mu."""
     s = svd(m, compute_uv=False)
     return make_weights(np.sqrt(mu) / (s + eps), mu / (s + eps))

@@ -1,106 +1,51 @@
-"""Quadratic envelope of the (a, b) penalty and its building blocks.
+"""Quadratic envelope of the (a, b) penalty.
 
 The envelope value at a matrix X reduces to a concave separable
 maximization over the spectrum of an auxiliary matrix, restricted to
-the monotone non-negative cone. Per index the objective is
+the monotone non-negative cone. It is the c = 1 member of the family
+solved in `_blockmax`: per index the objective is
 
     min(b_i, [s - a_i]_+^2) - (s - sx_i)^2 + s^2 - [s - a_i]_+^2,
 
 which is linear up to the breakpoint a_i + sqrt(b_i) and a concave
-quadratic beyond it, so block maximizations are exact.
-"""
+quadratic beyond it, so its per-index maximizer is
+a_i + max(sqrt(b_i), sx_i) and block maximizations are exact.
 
-from dataclasses import dataclass
+When every b_i is infinite (a rank-0 constraint) the objective grows
+without bound for any non-zero sx, and R_h is +inf off zero.
+"""
 
 import numpy as np
 
-from ._blockmax import monotone_argmax, piece_argmax
+from ._blockmax import coefficients, monotone_argmax
 from .linalg import check_matrix, svd
+from .penalty import check_spectrum
 
 
-__all__ = [
-    "SegmentSolve",
-    "unconstrained_maximizers",
-    "segment_max",
-    "maximizing_spectrum",
-    "eval_Rh",
-    "eval_envelope",
-    "fenchel_conjugate",
-]
-
-
-@dataclass(frozen=True)
-class SegmentSolve:
-    """Result of maximizing one contiguous block at a common scalar."""
-
-    first: int
-    last: int
-    argmax: float
-    value: float
-
-
-def _check_pair(sx, w):
-    # the block maximization is valid for any non-negative input vector,
-    # sorted or not, so only non-negativity is enforced here
-    sx = np.asarray(sx, dtype=float)
-    if sx.ndim != 1 or sx.shape[0] != len(w):
-        raise ValueError("spectrum and weights have different lengths")
-    if np.any(~np.isfinite(sx)) or np.any(sx < 0):
-        raise ValueError("spectrum entries must be finite and non-negative")
-    return sx
-
-
-def _capped_root_b(w, scale):
-    # Infinite b entries never saturate the min; a finite stand-in larger
-    # than any constrained optimum keeps the breakpoints finite.
-    cap = 10.0 * (w.a[-1] + scale) + 1.0
-    return np.minimum(np.sqrt(w.b), cap)
-
-
-def _coeffs(sx, w):
-    """Per-index (threshold, below-quadratic, above-quadratic) arrays."""
-    root_b = _capped_root_b(w, sx.max(initial=0.0))
-    t = w.a + root_b
-    k = sx.shape[0]
-    below = np.column_stack([np.zeros(k), 2.0 * sx, -(sx**2)])
-    above = np.column_stack(
-        [-np.ones(k), 2.0 * (w.a + sx), root_b**2 - w.a**2 - sx**2]
-    )
-    return t, below, above
-
-
-def unconstrained_maximizers(sx, w):
-    """Per-index maximizers a_i + max(sqrt(b_i), sx_i), ignoring ordering."""
-    sx = _check_pair(sx, w)
-    root_b = _capped_root_b(w, sx.max(initial=0.0))
-    return w.a + np.maximum(root_b, sx)
-
-
-def segment_max(block, lo, hi, sx, w):
-    """Exact scalar maximization of one contiguous index block over [lo, hi]."""
-    sx = _check_pair(sx, w)
-    block = np.asarray(block, dtype=int)
-    if block.size == 0:
-        raise ValueError("empty block")
-    if np.any(np.diff(block) != 1):
-        raise ValueError("block indices must be contiguous")
-    t, below, above = _coeffs(sx, w)
-    s, v = piece_argmax(t, below, above, block, lo, hi)
-    return SegmentSolve(first=int(block[0]), last=int(block[-1]), argmax=s, value=v)
+__all__ = ["maximizing_spectrum", "eval_Rh", "eval_envelope", "fenchel_conjugate"]
 
 
 def maximizing_spectrum(sx, w):
-    """The spectrum maximizing the envelope objective over the monotone cone."""
-    sx = _check_pair(sx, w)
-    t, below, above = _coeffs(sx, w)
-    root_b = t - w.a
-    init = w.a + np.maximum(root_b, sx)
-    return monotone_argmax(t, below, above, init=init)
+    """The spectrum maximizing the envelope objective over the monotone cone.
+
+    Raises ValueError when every b_i is infinite: the objective then has
+    no maximizer for non-zero sx and is constant at sx = 0.
+    """
+    sx = check_spectrum(sx, w)
+    if np.isinf(w.b[0]):
+        raise ValueError("every b_i is infinite: R_h is +inf off zero, with no maximizer")
+    # a block holding an infinite-b tail rises with it until its finite
+    # members fall off: at most max(a) + max(finite sqrt(b)) + 2 * sum(sx)
+    t, below, above = coefficients(sx, w, 1.0, sx.sum())
+    init = w.a + np.maximum(t - w.a, sx)
+    return monotone_argmax(t, below, above, init)
 
 
 def eval_Rh(sx, w):
     """Envelope value at a given spectrum."""
-    sx = _check_pair(sx, w)
+    sx = check_spectrum(sx, w)
+    if np.isinf(w.b[0]):
+        return np.inf if sx.any() else 0.0
     z = maximizing_spectrum(sx, w)
     r2 = np.maximum(z - w.a, 0.0) ** 2
     terms = np.minimum(w.b, r2) + z**2 - (sx - z) ** 2 - r2

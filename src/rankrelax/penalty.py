@@ -17,11 +17,8 @@ __all__ = [
     "check_spectrum",
     "eval_h",
     "shrink_spectrum",
-    "heuristic_weights",
     "preset",
 ]
-
-DEFAULT_EPS = 1e-6
 
 
 class InvalidWeightsError(ValueError):
@@ -60,22 +57,13 @@ def make_weights(a, b):
     return PenaltyWeights(a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float))
 
 
-def check_spectrum(values):
-    """Coerce to a valid spectrum: 1D, non-negative, non-increasing."""
-    s = np.asarray(values, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("spectrum must be a non-empty 1D vector")
+def check_spectrum(s, w):
+    """Coerce to a 1D vector of len(w) finite, non-negative entries."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1 or s.shape[0] != len(w):
+        raise ValueError("spectrum must be a 1D vector with one entry per weight")
     if np.any(~np.isfinite(s)) or np.any(s < 0):
         raise ValueError("spectrum entries must be finite and non-negative")
-    if np.any(np.diff(s) > 0):
-        raise ValueError("spectrum must be non-increasing")
-    return s
-
-
-def _check_pair(s, w):
-    s = check_spectrum(s)
-    if s.shape[0] != len(w):
-        raise ValueError("spectrum and weights have different lengths")
     return s
 
 
@@ -85,7 +73,9 @@ def eval_h(s, w):
     Indices with s_i = 0 contribute nothing; a contributing b_i = +inf
     makes the result +inf.
     """
-    s = _check_pair(s, w)
+    s = check_spectrum(s, w)
+    if np.any(np.diff(s) > 0):
+        raise ValueError("spectrum must be non-increasing")
     active = s != 0
     return float(np.sum((2.0 * w.a[active] * s[active]) + w.b[active]))
 
@@ -97,21 +87,11 @@ def shrink_spectrum(s0, w):
     (with 0 costing s0_i^2): keep s0_i - a_i when it is >= sqrt(b_i),
     otherwise drop to 0. Ties keep the non-zero value.
     """
-    s0 = _check_pair(s0, w)
+    s0 = check_spectrum(s0, w)
+    if np.any(np.diff(s0) > 0):
+        raise ValueError("spectrum must be non-increasing")
     keep = (s0 - w.a) >= np.sqrt(w.b)
     return np.where(keep, s0 - w.a, 0.0)
-
-
-def heuristic_weights(s0, c, eps=DEFAULT_EPS):
-    """Weights inversely proportional to an initial spectrum: c / (s0 + eps).
-
-    The output is non-decreasing because s0 is non-increasing, so it can
-    be used directly as either weight sequence.
-    """
-    if c <= 0 or eps <= 0:
-        raise ValueError("c and eps must be positive")
-    s0 = check_spectrum(s0)
-    return c / (s0 + eps)
 
 
 def preset(kind, k, mu=None, weights=None, rank=None):

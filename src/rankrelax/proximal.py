@@ -1,66 +1,28 @@
 """Proximal operators of the relaxed penalty.
 
-The prox subproblem reduces to the same block-merging scheme as the
-envelope, with the per-index objective
+The prox subproblem is the envelope's spectral maximization with a
+stronger quadratic: the c = (rho+1)/rho member of the family solved in
+`_blockmax`, with the per-index objective
 
     min(b_i, [s - a_i]_+^2) - ((rho+1)/rho) * (s - sy_i)^2 + s^2 - [s - a_i]_+^2,
 
 concave whenever rho > 0. The per-index maximizer splits into three
-regimes depending on where sy_i falls relative to a_i and sqrt(b_i).
+regimes depending on where sy_i falls relative to a_i and sqrt(b_i); the
+regimes agree at their boundaries, so the map is continuous in sy.
 """
 
 import numpy as np
 
-from ._blockmax import monotone_argmax
-from .envelope import _capped_root_b
+from ._blockmax import coefficients, monotone_argmax
 from .linalg import check_matrix, compose, svd
+from .penalty import check_spectrum
 
 
-__all__ = ["prox_unconstrained", "prox_spectrum", "prox_envelope", "prox_Rh"]
-
-
-def _check_pair(sy, w, rho):
-    sy = np.asarray(sy, dtype=float)
-    if sy.ndim != 1 or sy.shape[0] != len(w):
-        raise ValueError("spectrum and weights have different lengths")
-    if np.any(~np.isfinite(sy)) or np.any(sy < 0):
-        raise ValueError("spectrum entries must be finite and non-negative")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return sy
-
-
-def prox_unconstrained(sy, w, rho):
-    """Per-index prox maximizers, ignoring the ordering constraint.
-
-    The three regimes agree at their boundaries, so the map is
-    continuous in sy.
-    """
-    sy = _check_pair(sy, w, rho)
-    root_b = np.sqrt(w.b)
-    upper = w.a / (rho + 1.0) + root_b
-    lower = (w.a + root_b) / (1.0 + rho)
-    return np.where(
-        sy > upper,
-        w.a * rho / (rho + 1.0) + sy,
-        np.where(sy >= lower, w.a + root_b, (1.0 + rho) * sy),
-    )
-
-
-def _prox_coeffs(sy, w, rho):
-    c = (rho + 1.0) / rho
-    root_b = _capped_root_b(w, (1.0 + rho) * sy.max(initial=0.0))
-    t = w.a + root_b
-    k = sy.shape[0]
-    below = np.column_stack([np.full(k, 1.0 - c), 2.0 * c * sy, -c * sy**2])
-    above = np.column_stack(
-        [np.full(k, -c), 2.0 * (c * sy + w.a), root_b**2 - w.a**2 - c * sy**2]
-    )
-    return t, below, above
+__all__ = ["prox_spectrum", "prox_envelope", "prox_Rh"]
 
 
 def _case_maximizers(sy, a, root_b, rho):
-    # same three-regime formula as prox_unconstrained, on capped sqrt(b)
+    # the three regimes of the per-index maximizer, on the capped sqrt(b)
     upper = a / (rho + 1.0) + root_b
     lower = (a + root_b) / (1.0 + rho)
     return np.where(
@@ -72,10 +34,15 @@ def _case_maximizers(sy, a, root_b, rho):
 
 def prox_spectrum(sy, w, rho):
     """Maximizing spectrum of the prox objective over the monotone cone."""
-    sy = _check_pair(sy, w, rho)
-    t, below, above = _prox_coeffs(sy, w, rho)
+    sy = check_spectrum(sy, w)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    # a block value never exceeds its members' maximizers, each at most
+    # a_i + sqrt(b_i) (left out when infinite) + (1 + rho) * sy_i
+    scale = (1.0 + rho) * sy.max(initial=0.0)
+    t, below, above = coefficients(sy, w, (rho + 1.0) / rho, scale)
     init = _case_maximizers(sy, w.a, t - w.a, rho)
-    return monotone_argmax(t, below, above, init=init)
+    return monotone_argmax(t, below, above, init)
 
 
 def prox_envelope(m, x0, w, rho):

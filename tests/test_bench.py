@@ -1,6 +1,11 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rankrelax import bench, solver
 from rankrelax import (
     AdmmConfig,
     ExperimentSpec,
@@ -235,3 +240,34 @@ class TestWriteResultsCsv:
         assert cells[1] == "uniform"
         assert float(cells[3]) == pytest.approx(0.3)
         assert int(cells[4]) == 1
+
+
+class TestTracedLayers:
+    """Every layer the benchmark reports per-layer metrics for is reached
+    through the binding its tracer wraps, so a refactor that routes
+    around one fails here instead of reading as a zero in the benchmark."""
+
+    def test_each_traced_layer_is_called(self):
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "tracing", root / "benchmarks" / "tracing.py"
+        )
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        metrics = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+        spans = {
+            m["name"].rsplit(".", 1)[0]
+            for m in metrics
+            if m["name"].endswith((".calls", ".self_ms"))
+        }
+        assert "blockmax.piece_argmax" in spans
+
+        cfg = AdmmConfig(max_iters=20)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            bench.run_sweep(tiny_spec(instances=1), cfg)
+            m0, m = gen_instance(tiny_spec(), 0)
+            obs = MaskedObservations(m=m, w=mask_tracking(8, 24, 0.3, 0))
+            solver.admm_complete(obs, instance_weights(m, 3.0), cfg)
+        calls = {name: row[0] for name, row in tracer.layers().items()}
+        assert {name: calls.get(name, 0) for name in spans if calls.get(name, 0) == 0} == {}

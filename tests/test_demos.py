@@ -1,0 +1,26 @@
+"""Each narrative script under demos/ runs to completion on the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 3
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip()

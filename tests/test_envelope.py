@@ -9,9 +9,7 @@ from rankrelax import (
     make_weights,
     maximizing_spectrum,
     preset,
-    segment_max,
     svd,
-    unconstrained_maximizers,
 )
 
 from oracles import envelope_terms, monotone_grid_best
@@ -30,6 +28,14 @@ def envelope_objective(z, sx, w):
     return float(np.sum(np.minimum(w.b, r2) + z**2 - (sx - z) ** 2 - r2))
 
 
+def unconstrained_maximizers(sx, w):
+    """Per-index maximizers: each index solved on its own, at k = 1."""
+    return np.array([
+        maximizing_spectrum(sx[i : i + 1], make_weights(w.a[i : i + 1], w.b[i : i + 1]))[0]
+        for i in range(len(sx))
+    ])
+
+
 class TestUnconstrainedMaximizers:
     def test_reduces_to_identity(self):
         w = make_weights([0.0, 0.0], [0.0, 0.0])
@@ -37,7 +43,7 @@ class TestUnconstrainedMaximizers:
 
     def test_scalar_formula(self):
         w = make_weights([0.25], [0.25])
-        assert unconstrained_maximizers(np.array([0.3]), w)[0] == pytest.approx(0.75)
+        assert maximizing_spectrum(np.array([0.3]), w)[0] == pytest.approx(0.75)
 
     def test_direct_formula(self):
         w = make_weights([0.0, 1.0], [1.0, 1.0])
@@ -47,46 +53,24 @@ class TestUnconstrainedMaximizers:
 
 class TestSegmentMax:
     def test_single_index_equals_unconstrained(self):
+        # a block of one index takes the closed form a_i + max(sqrt(b_i), sx_i)
         rng = np.random.default_rng(0)
         for _ in range(20):
             sx, w = random_instance(rng)
-            expected = unconstrained_maximizers(sx, w)
-            for i in range(len(sx)):
-                res = segment_max([i], 0.0, np.inf, sx, w)
-                assert res.argmax == pytest.approx(expected[i], abs=1e-12)
+            expected = w.a + np.maximum(np.sqrt(w.b), sx)
+            assert np.allclose(unconstrained_maximizers(sx, w), expected, rtol=0, atol=1e-12)
 
     def test_pair_block_against_grid(self):
+        # the two per-index maximizers 1 and 3 violate the ordering, so the
+        # pair is solved as one block at a common value
         w = make_weights([0.0, 1.0], [1.0, 1.0])
         sx = np.array([0.5, 2.0])
-        res = segment_max([0, 1], 0.0, np.inf, sx, w)
+        z = maximizing_spectrum(sx, w)
         grid = np.arange(0.0, 6.0, 1e-4)
         vals = envelope_terms(grid, sx, w.a, w.b).sum(axis=0)
-        assert res.argmax == pytest.approx(grid[vals.argmax()], abs=1e-3)
-        assert res.argmax == pytest.approx(2.0)
-
-    def test_pair_block_clamped(self):
-        w = make_weights([0.0, 1.0], [1.0, 1.0])
-        sx = np.array([0.5, 2.0])
-        res = segment_max([0, 1], 0.0, 1.5, sx, w)
-        assert res.argmax == pytest.approx(1.5)
-
-    def test_empty_block_rejected(self):
-        w = make_weights([0.0], [0.0])
-        with pytest.raises(ValueError):
-            segment_max([], 0.0, 1.0, np.array([1.0]), w)
-
-    def test_noncontiguous_block_rejected(self):
-        w = make_weights([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            segment_max([0, 2], 0.0, 1.0, np.array([1.0, 0.5, 0.2]), w)
-
-    def test_value_matches_argmax(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            sx, w = random_instance(rng)
-            res = segment_max(np.arange(len(sx)), 0.0, np.inf, sx, w)
-            direct = envelope_terms(np.array([res.argmax]), sx, w.a, w.b).sum()
-            assert res.value == pytest.approx(direct, abs=1e-12)
+        assert z[0] == z[1]
+        assert z[0] == pytest.approx(grid[vals.argmax()], abs=1e-3)
+        assert z[0] == pytest.approx(2.0)
 
 
 class TestMaximizingSpectrum:
@@ -181,6 +165,36 @@ class TestEvalRh:
         assert np.isfinite(val)
         assert val >= 0
 
+    def test_rank_zero_is_infinite_off_zero(self):
+        # every b_i infinite: the rank-0 constraint, +inf anywhere but zero
+        w = make_weights([0.0, 0.0], [np.inf, np.inf])
+        assert eval_Rh(np.array([2.0, 1.0]), w) == np.inf
+        assert eval_Rh(np.array([4.0, 1.0]), w) == np.inf
+        assert eval_Rh(np.array([0.0, 1e-300]), w) == np.inf
+        assert eval_Rh(np.zeros(2), w) == 0.0
+
+    def test_rank_zero_has_no_maximizer(self):
+        w = make_weights([0.5, 1.0], [np.inf, np.inf])
+        for sx in (np.array([2.0, 1.0]), np.zeros(2)):
+            with pytest.raises(ValueError):
+                maximizing_spectrum(sx, w)
+
+    def test_large_finite_rank_cost(self):
+        # sqrt(b) = 3 far above a + sx: the maximizer sits on the breakpoint,
+        # where R_h = 2*sqrt(b)*s - s^2
+        w = make_weights([0.0], [9.0])
+        assert maximizing_spectrum(np.array([0.01]), w)[0] == 3.0
+        assert eval_Rh(np.array([0.01]), w) == pytest.approx(2 * 3 * 0.01 - 0.01**2)
+
+    def test_long_infinite_tail(self):
+        # b_0 = 0 and 38 infinite entries at sx = 1: on a common value z the
+        # objective is -(z - 1)^2 + 38 * (2z - 1), maximized at z = 39
+        k = 39
+        w = make_weights(np.zeros(k), np.r_[0.0, np.full(k - 1, np.inf)])
+        sx = np.ones(k)
+        assert np.allclose(maximizing_spectrum(sx, w), 39.0, rtol=0, atol=1e-12)
+        assert eval_Rh(sx, w) == pytest.approx(-(38.0**2) + 38 * 77.0)
+
 
 class TestEvalEnvelope:
     def test_trivial_zero(self):
@@ -222,6 +236,12 @@ class TestEvalEnvelope:
             mid = eval_envelope((x1 + x2) / 2, x0, w)
             avg = (eval_envelope(x1, x0, w) + eval_envelope(x2, x0, w)) / 2
             assert mid <= avg + 1e-8
+
+    def test_rank_zero(self):
+        w = make_weights([0.0, 0.0], [np.inf, np.inf])
+        x0 = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert eval_envelope(x0, x0, w) == np.inf
+        assert eval_envelope(np.zeros((2, 2)), x0, w) == pytest.approx(30.0)
 
     def test_shape_mismatch_rejected(self):
         w = make_weights([0.0], [0.0])

@@ -4,11 +4,13 @@ import pytest
 from rankrelax import (
     InvalidWeightsError,
     eval_h,
-    heuristic_weights,
     make_weights,
+    maximizing_spectrum,
     preset,
+    prox_spectrum,
     shrink_spectrum,
 )
+from rankrelax.penalty import check_spectrum
 
 
 class TestMakeWeights:
@@ -31,6 +33,39 @@ class TestMakeWeights:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidWeightsError):
             make_weights([0.0], [0.0, 1.0])
+
+
+class TestCheckSpectrum:
+    W = make_weights([0.0, 1.0], [0.0, 1.0])
+    CHECKED = (
+        eval_h,
+        shrink_spectrum,
+        maximizing_spectrum,
+        lambda s, w: prox_spectrum(s, w, 1.0),
+    )
+
+    def test_coerces_unsorted(self):
+        out = check_spectrum([1, 2], self.W)
+        assert out.dtype == float and np.array_equal(out, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[1.0], [1.0, 0.5, 0.2], [[1.0, 0.5]], [1.0, -0.5], [np.nan, 0.5], [np.inf, 0.5]],
+    )
+    def test_every_spectral_entry_point_rejects(self, bad):
+        with pytest.raises(ValueError):
+            check_spectrum(bad, self.W)
+        for f in self.CHECKED:
+            with pytest.raises(ValueError):
+                f(np.asarray(bad, dtype=float), self.W)
+
+    def test_ordering_required_only_by_the_penalty(self):
+        s = np.array([0.5, 2.0])
+        for f in (eval_h, shrink_spectrum):
+            with pytest.raises(ValueError):
+                f(s, self.W)
+        assert maximizing_spectrum(s, self.W).shape == (2,)
+        assert prox_spectrum(s, self.W, 1.0).shape == (2,)
 
 
 class TestEvalH:
@@ -113,33 +148,6 @@ class TestShrinkSpectrum:
             out = shrink_spectrum(np.sort(rng.uniform(0, 3, k))[::-1], w)
             assert np.all(np.diff(out) <= 1e-15)
             assert np.all(out >= 0)
-
-
-class TestHeuristicWeights:
-    def test_unit_case(self):
-        assert heuristic_weights(np.array([1.0]), 1.0, 1e-12)[0] == pytest.approx(1.0)
-
-    def test_direct_formula(self):
-        out = heuristic_weights(np.array([2.0, 1.0, 0.0]), 1.0, 1e-6)
-        assert out[0] == pytest.approx(0.5, rel=1e-5)
-        assert out[1] == pytest.approx(1.0, rel=1e-5)
-        assert out[2] == pytest.approx(1e6, rel=1e-5)
-
-    def test_always_non_decreasing(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            k = int(rng.integers(1, 8))
-            s0 = np.sort(rng.uniform(0, 5, k))[::-1]
-            out = heuristic_weights(s0, float(rng.uniform(0.1, 3)), 1e-6)
-            assert np.all(np.diff(out) >= 0)
-            # usable on both weight slots
-            make_weights(out, out)
-
-    def test_requires_positive_params(self):
-        with pytest.raises(ValueError):
-            heuristic_weights(np.array([1.0]), 0.0, 1e-6)
-        with pytest.raises(ValueError):
-            heuristic_weights(np.array([1.0]), 1.0, 0.0)
 
 
 class TestPresets:

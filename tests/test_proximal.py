@@ -7,7 +7,6 @@ from rankrelax import (
     prox_Rh,
     prox_envelope,
     prox_spectrum,
-    prox_unconstrained,
     shrink_spectrum,
     svd,
 )
@@ -24,17 +23,19 @@ def prox_objective_value(x, m, x0, w, rho):
 
 
 class TestProxUnconstrained:
+    """The per-index maximizer: at k = 1 no ordering constraint binds."""
+
     def test_identity_when_unweighted(self):
         w = make_weights([0.0], [0.0])
-        assert prox_unconstrained(np.array([2.0]), w, 1.0)[0] == pytest.approx(2.0)
+        assert prox_spectrum(np.array([2.0]), w, 1.0)[0] == pytest.approx(2.0)
 
     def test_middle_case(self):
         w = make_weights([0.0], [1.0])
-        assert prox_unconstrained(np.array([0.8]), w, 1.0)[0] == pytest.approx(1.0)
+        assert prox_spectrum(np.array([0.8]), w, 1.0)[0] == pytest.approx(1.0)
 
     def test_third_case(self):
         w = make_weights([0.0], [1.0])
-        assert prox_unconstrained(np.array([0.4]), w, 1.0)[0] == pytest.approx(0.8)
+        assert prox_spectrum(np.array([0.4]), w, 1.0)[0] == pytest.approx(0.8)
 
     def test_case_boundaries_continuous(self):
         rng = np.random.default_rng(0)
@@ -52,9 +53,9 @@ class TestProxUnconstrained:
             # middle/third formulas at the lower boundary
             assert abs((1.0 + rho) * lower - (a + np.sqrt(b))) <= 1e-12
             eps = 1e-9
-            hi = prox_unconstrained(np.array([upper + eps]), w, rho)[0]
-            lo = prox_unconstrained(np.array([max(lower - eps, 0.0)]), w, rho)[0]
-            mid = prox_unconstrained(np.array([(lower + upper) / 2]), w, rho)[0]
+            hi = prox_spectrum(np.array([upper + eps]), w, rho)[0]
+            lo = prox_spectrum(np.array([max(lower - eps, 0.0)]), w, rho)[0]
+            mid = prox_spectrum(np.array([(lower + upper) / 2]), w, rho)[0]
             assert abs(hi - mid) <= 1e-6
             assert abs(lo - mid) <= 1e-6
 
@@ -67,7 +68,7 @@ class TestProxUnconstrained:
             rho = float(rng.uniform(0.3, 3))
             sy = float(rng.uniform(0, 3))
             w = make_weights([a], [b])
-            out = prox_unconstrained(np.array([sy]), w, rho)[0]
+            out = prox_spectrum(np.array([sy]), w, rho)[0]
             vals = prox_terms(grid, np.array([sy]), w.a, w.b, rho)[0]
             assert out == pytest.approx(grid[vals.argmax()], abs=1e-3)
 
@@ -79,14 +80,20 @@ class TestProxSpectrum:
         assert np.allclose(prox_spectrum(sy, w, 1.7), sy)
 
     def test_single_index_matches_unconstrained(self):
+        # the three-regime closed form of the per-index maximizer
         rng = np.random.default_rng(2)
         for _ in range(30):
-            w = make_weights([rng.uniform(0, 2)], [rng.uniform(0, 2)])
+            a, b = rng.uniform(0, 2), rng.uniform(0, 2)
+            w = make_weights([a], [b])
             sy = np.array([rng.uniform(0, 3)])
             rho = float(rng.uniform(0.3, 3))
-            assert prox_spectrum(sy, w, rho)[0] == pytest.approx(
-                prox_unconstrained(sy, w, rho)[0], abs=1e-12
-            )
+            if sy[0] > a / (rho + 1.0) + np.sqrt(b):
+                expected = a * rho / (rho + 1.0) + sy[0]
+            elif sy[0] >= (a + np.sqrt(b)) / (1.0 + rho):
+                expected = a + np.sqrt(b)
+            else:
+                expected = (1.0 + rho) * sy[0]
+            assert prox_spectrum(sy, w, rho)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_merged_constant_block(self):
         w = make_weights([0.0, 1.0], [1.0, 1.0])
@@ -234,6 +241,14 @@ class TestProxRh:
         out = prox_Rh(n, w, 1.0 + 1e-6)
         expected = shrink_spectrum(svd(n).spectrum, w)
         assert np.allclose(svd(out).spectrum, expected, atol=1e-3)
+
+    def test_rank_zero_gives_zero_matrix(self):
+        # every b_i infinite: the prox of the rank-0 constraint is exact
+        rng = np.random.default_rng(12)
+        w = make_weights(np.zeros(3), np.full(3, np.inf))
+        n = rng.standard_normal((3, 5))
+        for tau in (1.0 + 1e-6, 1.5, 1e4):
+            assert np.array_equal(prox_Rh(n, w, tau), np.zeros((3, 5)))
 
     def test_rejects_weak_strength(self):
         w = make_weights([0.0], [0.0])
