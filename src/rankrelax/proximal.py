@@ -52,8 +52,10 @@ def prox_envelope(m, x0, w, rho):
     SVD, run the prox block maximization on the spectrum, and map back
     through x = ((rho+1)*sigma(y) - sigma(z)) / rho on the same factors.
     """
-    m = check_matrix(m)
-    x0 = check_matrix(x0)
+    if x0 is m:  # prox_Rh's case: one matrix, scanned once
+        x0 = m = check_matrix(m)
+    else:
+        m, x0 = check_matrix(m), check_matrix(x0)
     if m.shape != x0.shape:
         raise ValueError("m and x0 must have the same shape")
     if rho <= 0:

@@ -1,9 +1,10 @@
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankrelax import compose, linalg, svd
@@ -76,8 +77,45 @@ def test_compose_rejects_shape_mismatch():
         compose(np.eye(2), np.array([1.0, 2.0, 3.0]), np.eye(2))
 
 
+LAPACK_ROUTINES = ("svd", "eigh", "eigvalsh")
+
+
+@contextmanager
+def lapack_spy():
+    """Records [routine, OpenBLAS thread count, result] for each call to a
+    LAPACK routine svd can reach, in call order."""
+    calls = []
+    real = {name: getattr(np.linalg, name) for name in LAPACK_ROUTINES}
+
+    def spy(name):
+        def call(*args, **kwargs):
+            record = [name, linalg._BLAS.get() if linalg._BLAS else None, None]
+            calls.append(record)
+            record[2] = real[name](*args, **kwargs)
+            return record[2]
+
+        return call
+
+    for name in LAPACK_ROUTINES:
+        setattr(np.linalg, name, spy(name))
+    try:
+        yield calls
+    finally:
+        for name, fn in real.items():
+            setattr(np.linalg, name, fn)
+
+
+def certified(lam):
+    """The Gram route's certificate on the eigenvalues of the scaled Gram matrix."""
+    return bool(
+        lam[-1] > 0
+        and np.all(np.isfinite(lam))
+        and lam[0] >= linalg._GRAM_MIN_RATIO * lam[-1]
+    )
+
+
 # Shapes from 1 x n through n x 1, square, and the study's wide and tall
-# shapes; entries span scales from 1e-150 to 1e150.
+# shapes.
 SHAPES = st.one_of(
     st.sampled_from([(32, 512), (512, 32)]),
     st.integers(1, 12).flatmap(lambda n: st.sampled_from([(1, n), (n, 1), (n, n)])),
@@ -85,20 +123,56 @@ SHAPES = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
-@given(shape=SHAPES, exponent=st.integers(-150, 150), seed=st.integers(0, 2**32 - 1))
-def test_svd_properties_across_shapes_and_scales(shape, exponent, seed):
-    x = 10.0**exponent * np.random.default_rng(seed).standard_normal(shape)
-    f = svd(x)
+def conditioned(shape, log_kappa, rank, exponent, seed):
+    """10^exponent * Q1 diag(s) Q2^T, s from 1 down to 10^-log_kappa, and
+    zero past the first `rank` values (all of them kept when rank is None)."""
+    rng = np.random.default_rng(seed)
+    k = min(shape)
+    s = 10.0 ** -np.sort(np.r_[0.0, log_kappa, rng.uniform(0.0, log_kappa, max(k - 2, 0))])[:k]
+    s[k if rank is None else rank :] = 0.0
+    q1, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    q2, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    return 10.0**exponent * ((q1 * s) @ q2.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=SHAPES,
+    log_kappa=st.floats(0.0, 12.0),
+    rank=st.none() | st.integers(0, 12),
+    exponent=st.integers(-200, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+# unscaled, this Gram matrix is subnormal and its certificate passes on
+# eigenvalues that have lost their low digits
+@example(shape=(32, 512), log_kappa=1.0, rank=None, exponent=-158, seed=0)
+# past the certificate's kappa bound: the Gram route's left factor would
+# lose orthogonality by about 1e-9
+@example(shape=(32, 512), log_kappa=4.0, rank=None, exponent=0, seed=0)
+def test_svd_properties_across_shapes_and_scales(shape, log_kappa, rank, exponent, seed):
+    x = conditioned(shape, log_kappa, rank, exponent, seed)
+    results = []
+    for compute_uv in (True, False):
+        with lapack_spy() as calls:
+            results.append(svd(x, compute_uv=compute_uv))
+        routines = [name for name, _, _ in calls]
+        if not np.any(x):
+            # a zero matrix goes straight to LAPACK
+            assert routines == ["svd"]
+            continue
+        lam = calls[0][2][0] if compute_uv else calls[0][2]
+        # the Gram route is taken exactly when its certificate holds
+        fallback = [] if certified(lam) else ["svd"]
+        assert routines == ["eigh" if compute_uv else "eigvalsh"] + fallback
+    f, values = results
     k = min(shape)
     s = f.spectrum
     assert f.u.shape == (shape[0], k) and f.v.shape == (shape[1], k) and s.shape == (k,)
     assert np.all(s >= 0) and np.all(np.diff(s) <= 0)
-    # max-abs errors: squaring entries near 1e-150 would underflow
+    # max-abs errors: squaring entries near 1e-200 would underflow
     assert np.max(np.abs(compose(f.u, s, f.v) - x)) <= 1e-12 * s[0]
     assert np.allclose(f.u.T @ f.u, np.eye(k), atol=1e-10)
     assert np.allclose(f.v.T @ f.v, np.eye(k), atol=1e-10)
-    values = svd(x, compute_uv=False)
     assert values.shape == (k,)
     assert np.max(np.abs(values - s)) <= 1e-12 * s[0]
 
@@ -137,39 +211,54 @@ def blas_threads():
 
 
 @pytest.fixture
-def lapack_threads(monkeypatch):
-    """Thread counts seen by each np.linalg.svd call."""
-    seen = []
-    real = np.linalg.svd
-
-    def spy(*args, **kwargs):
-        seen.append(linalg._BLAS.get())
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    return seen
+def lapack_calls():
+    """[routine, thread count, result] of each LAPACK call svd makes."""
+    with lapack_spy() as calls:
+        yield calls
 
 
 @needs_openblas
-def test_svd_runs_on_one_thread_and_restores(blas_threads, lapack_threads):
+def test_svd_runs_on_one_thread_and_restores(blas_threads, lapack_calls):
     x = np.random.default_rng(6).standard_normal((8, 20))
     svd(x)
     svd(x.T, compute_uv=False)
-    assert lapack_threads == [1, 1]
+    svd(np.ones((8, 20)))  # rank one: the Gram route falls back to LAPACK's SVD
+    assert [(name, threads) for name, threads, _ in lapack_calls] == [
+        ("eigh", 1),
+        ("eigvalsh", 1),
+        ("eigh", 1),
+        ("svd", 1),
+    ]
     assert linalg._BLAS.get() == blas_threads
+
+
+def fail(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
 
 
 @needs_openblas
 def test_thread_count_restored_when_lapack_raises(blas_threads, monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    for name in LAPACK_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(np.linalg.LinAlgError):
         svd(np.eye(3))
     with pytest.raises(np.linalg.LinAlgError):
         svd(np.eye(3), compute_uv=False)
     assert linalg._BLAS.get() == blas_threads
+
+
+def test_svd_falls_back_to_lapack_when_eigh_raises(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    x = np.random.default_rng(8).standard_normal((6, 9))
+    with lapack_spy() as calls:
+        f = svd(x)
+        values = svd(x, compute_uv=False)
+    assert [name for name, _, _ in calls] == ["eigh", "svd", "eigvalsh", "svd"]
+    assert np.max(np.abs(compose(f.u, f.spectrum, f.v) - x)) <= 1e-12 * f.spectrum[0]
+    assert np.allclose(f.u.T @ f.u, np.eye(6), atol=1e-10)
+    assert np.allclose(f.v.T @ f.v, np.eye(6), atol=1e-10)
+    assert np.allclose(values, np.linalg.svd(x, compute_uv=False), rtol=0, atol=1e-12 * values[0])
 
 
 @needs_openblas
@@ -182,7 +271,7 @@ def test_nested_scopes_restore_once(blas_threads):
 
 
 @needs_openblas
-def test_concurrent_svds_restore_thread_count(blas_threads, lapack_threads):
+def test_concurrent_svds_restore_thread_count(blas_threads, lapack_calls):
     x = np.random.default_rng(7).standard_normal((6, 40))
     errors = []
 
@@ -205,5 +294,5 @@ def test_concurrent_svds_restore_thread_count(blas_threads, lapack_threads):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in workers)
     assert errors == []
-    assert len(lapack_threads) == 200 and set(lapack_threads) == {1}
+    assert len(lapack_calls) == 200 and {threads for _, threads, _ in lapack_calls} == {1}
     assert linalg._BLAS.get() == blas_threads

@@ -7,6 +7,7 @@ from rankrelax import (
     prox_Rh,
     prox_envelope,
     prox_spectrum,
+    proximal,
     shrink_spectrum,
     svd,
 )
@@ -249,6 +250,26 @@ class TestProxRh:
         n = rng.standard_normal((3, 5))
         for tau in (1.0 + 1e-6, 1.5, 1e4):
             assert np.array_equal(prox_Rh(n, w, tau), np.zeros((3, 5)))
+
+    def test_input_checked_once(self, monkeypatch):
+        # prox_Rh passes one array as both m and x0; distinct arrays are
+        # each checked
+        checked = []
+        real = proximal.check_matrix
+
+        def spy(x):
+            checked.append(x)
+            return real(x)
+
+        monkeypatch.setattr(proximal, "check_matrix", spy)
+        w = make_weights([0.3, 0.6], [0.2, 0.9])
+        n = np.random.default_rng(13).standard_normal((2, 4))
+        prox_Rh(n, w, 2.5)
+        assert len(checked) == 1
+        prox_envelope(n, n.copy(), w, 1.5)
+        assert len(checked) == 3
+        with pytest.raises(ValueError):
+            prox_envelope(n, np.full((2, 4), np.nan), w, 1.5)
 
     def test_rejects_weak_strength(self):
         w = make_weights([0.0], [0.0])

@@ -5,10 +5,16 @@ import pytest
 
 from rankrelax import (
     AdmmConfig,
+    ExperimentSpec,
     MaskedObservations,
     admm_complete,
     data_update,
+    gen_instance,
+    instance_weights,
+    linalg,
     make_weights,
+    mask_tracking,
+    mask_uniform,
     preset,
     shrink_spectrum,
     solve_objective,
@@ -267,3 +273,39 @@ class TestWindowedObjective:
         assert diag.dual_residual_trace[0] == pytest.approx(
             cfg.rho * np.linalg.norm(first)
         )
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank, mask, fraction, mu, cfg",
+    [
+        # a study cell, short of its 300-iteration cap
+        (32, 512, 4, mask_uniform, 0.6, 3.0, AdmmConfig(max_iters=60)),
+        # a wide tracking cell at the wide_tracking benchmark's shape
+        (128, 2048, 8, mask_tracking, 0.3, 10.0,
+         AdmmConfig(max_iters=3, primal_tol=1e-14, rel_obj_tol=1e-15)),
+    ],
+    ids=["uniform_32x512", "tracking_128x2048"],
+)
+def test_gram_route_matches_lapack_route(monkeypatch, rows, cols, rank, mask, fraction, mu, cfg):
+    spec = ExperimentSpec(rows=rows, cols=cols, rank=rank, seed=7)
+    _, m = gen_instance(spec, 0)
+    obs = MaskedObservations(m=m, w=mask(rows, cols, fraction, (7, 0, 1)))
+    w = instance_weights(m, mu)
+    lapack_svds = []
+    real = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        lapack_svds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    y, diag = admm_complete(obs, w, cfg)
+    gram_run = len(lapack_svds)
+    # no eigenvalue ratio passes an infinite bound: every SVD goes to LAPACK
+    monkeypatch.setattr(linalg, "_GRAM_MIN_RATIO", np.inf)
+    y_ref, ref = admm_complete(obs, w, cfg)
+    # the Gram route took most of the first run's SVDs
+    assert gram_run < len(lapack_svds) - gram_run
+    assert diag.iterations == ref.iterations
+    assert diag.stop_reason == ref.stop_reason
+    assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
