@@ -27,7 +27,7 @@ from .penalty import (
     preset,
     shrink_spectrum,
 )
-from .proximal import prox_Rh, prox_envelope, prox_spectrum
+from .proximal import prox_Rh, prox_spectrum
 from .solver import (
     AdmmConfig,
     AdmmDiagnostics,
@@ -63,7 +63,6 @@ __all__ = [
     "normalized_distance",
     "preset",
     "prox_Rh",
-    "prox_envelope",
     "prox_spectrum",
     "run_sweep",
     "shrink_spectrum",

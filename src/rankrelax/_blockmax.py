@@ -8,12 +8,15 @@ the separable sum of
 
 with c = 1 for the envelope and c = (rho+1)/rho for the prox. For
 c >= 1 each term is concave with a single breakpoint t_i = a_i + sqrt(b_i):
-one quadratic (A, B, C) below t_i, another at and above it. Block sums
-are therefore piecewise quadratic with at most |block| breakpoints, so
-the maximum over [0, inf) is found exactly by enumerating pieces and
-closed-form vertices. The monotone-cone maximization merges adjacent
-blocks pool-adjacent-violators style: each merged block is re-solved
-over [0, inf) and carries one constant value.
+one quadratic (A, B, C) below t_i, another at and above it. Its maximizer
+over [0, inf) is the peak above the breakpoint, s_i + a_i/c, when that
+is at least t_i; otherwise the peak below, c*s_i/(c-1), when c > 1 and
+that is at most t_i; otherwise t_i itself. Block sums are piecewise
+quadratic with at most |block| breakpoints, so the maximum over [0, inf)
+is found exactly by enumerating pieces and closed-form vertices. The
+monotone-cone maximization merges adjacent blocks pool-adjacent-violators
+style: each merged block is re-solved over [0, inf) and carries one
+constant value.
 """
 
 import numpy as np
@@ -38,6 +41,18 @@ def coefficients(s, w, c, scale):
         [np.full(k, -c), 2.0 * (c * s + w.a), root_b**2 - w.a**2 - c * s**2]
     )
     return t, below, above
+
+
+def peak_below(s, c):
+    """Where each term peaks below its breakpoint; needs c > 1."""
+    return c * s / (c - 1.0)
+
+
+def index_maximizers(s, a, t, c):
+    """Per-index maximizers over [0, inf), the closed form above."""
+    peak_above = s + a / c
+    below = np.minimum(peak_below(s, c), t) if c > 1.0 else t
+    return np.where(peak_above >= t, peak_above, below)
 
 
 def piece_argmax(thresholds, below, above, idx):

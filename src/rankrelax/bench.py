@@ -3,7 +3,8 @@
 Reproduces the synthetic study: low-rank ground truth plus Gaussian
 noise, uniform or tracking-style missing-data masks, and a sweep over
 the penalty strength mu with weights built from the measured spectrum,
-a_i = sqrt(mu) / (sigma_i(M) + eps) and b_i = mu / (sigma_i(M) + eps).
+a_i = sqrt(mu) / (sigma_i(M) + eps) and b_i = mu / (sigma_i(M) + eps),
+eps = WEIGHT_EPS.
 """
 
 import csv
@@ -30,6 +31,9 @@ __all__ = [
 
 # default mu grid: log-spaced 1e-3 .. 10, alternating 1x / 3x steps
 DEFAULT_MU_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0)
+
+# keeps instance_weights finite at a zero singular value
+WEIGHT_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,10 @@ def datafit(x, obs):
     return float(np.linalg.norm(obs.w * (x - obs.m)))
 
 
-def instance_weights(m, mu, eps=1e-6):
+def instance_weights(m, mu):
     """Penalty weights from the measured spectrum for a given strength mu."""
-    s = svd(m, compute_uv=False)
-    return make_weights(np.sqrt(mu) / (s + eps), mu / (s + eps))
+    s = svd(m, compute_uv=False) + WEIGHT_EPS
+    return make_weights(np.sqrt(mu) / s, mu / s)
 
 
 def _make_mask(spec, fraction, instance_index):

@@ -55,31 +55,19 @@ def _load_mask(path):
     return w
 
 
+def _floats(text):
+    """A comma-separated list of numbers, as a tuple."""
+    return tuple(float(t) for t in text.split(","))
+
+
 def _build_weights(args, m):
-    k = min(m.shape)
-    kind = args.penalty
-    if kind == "nuclear":
-        return preset("nuclear", k, mu=_require_mu(args))
-    if kind == "rmu":
-        return preset("rmu", k, mu=_require_mu(args))
-    if kind == "hardrank":
-        if args.rank is None:
-            raise ValueError("--penalty hardrank requires --rank")
-        return preset("hard_rank", k, rank=args.rank)
-    if kind == "wnnm":
-        if args.weights is None:
-            raise ValueError("--penalty wnnm requires --weights")
-        w = np.asarray([float(t) for t in args.weights.split(",")])
-        return preset("wnnm", k, weights=w)
-    if kind == "rh":
-        return instance_weights(m, _require_mu(args))
-    raise ValueError("unknown penalty %r" % kind)
-
-
-def _require_mu(args):
-    if args.mu is None:
-        raise ValueError("--penalty %s requires --mu" % args.penalty)
-    return args.mu
+    if args.penalty == "rh":
+        if args.mu is None:
+            raise ValueError("--penalty rh requires --mu")
+        return instance_weights(m, args.mu)
+    # preset rejects a missing mu, rank or weight vector
+    kind = "hard_rank" if args.penalty == "hardrank" else args.penalty
+    return preset(kind, min(m.shape), mu=args.mu, weights=args.weights, rank=args.rank)
 
 
 def _cmd_synth(args):
@@ -119,21 +107,15 @@ def _cmd_complete(args):
 
 
 def _cmd_sweep(args):
-    fractions = tuple(float(t) for t in args.fractions.split(","))
-    mu_grid = (
-        tuple(float(t) for t in args.mu_grid.split(","))
-        if args.mu_grid
-        else ExperimentSpec().mu_grid
-    )
     spec = ExperimentSpec(
         rows=args.rows,
         cols=args.cols,
         rank=args.rank,
         noise_sigma=args.sigma,
         pattern=args.pattern,
-        missing_fractions=fractions,
+        missing_fractions=args.fractions,
         instances=args.instances,
-        mu_grid=mu_grid,
+        mu_grid=args.mu_grid,
         seed=args.seed,
     )
     records = run_sweep(spec)
@@ -168,7 +150,17 @@ def _add_penalty_flags(p):
     )
     p.add_argument("--mu", type=float)
     p.add_argument("--rank", type=int)
-    p.add_argument("--weights", help="comma-separated wnnm weights")
+    p.add_argument("--weights", type=_floats, help="comma-separated wnnm weights")
+
+
+def _add_instance_flags(p):
+    spec = ExperimentSpec()
+    p.add_argument("--rows", type=int, default=spec.rows)
+    p.add_argument("--cols", type=int, default=spec.cols)
+    p.add_argument("--rank", type=int, default=spec.rank)
+    p.add_argument("--sigma", type=float, default=spec.noise_sigma)
+    p.add_argument("--seed", type=int, default=spec.seed)
+    return spec
 
 
 def _build_parser():
@@ -176,11 +168,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic instance")
-    p.add_argument("--rows", type=int, default=32)
-    p.add_argument("--cols", type=int, default=512)
-    p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_instance_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--gt", help="optional ground-truth output path")
     p.set_defaults(func=_cmd_synth)
@@ -189,23 +177,22 @@ def _build_parser():
     p.add_argument("--matrix", required=True)
     p.add_argument("--mask", help="0/1 CSV mask; defaults to fully observed")
     _add_penalty_flags(p)
-    p.add_argument("--rho", type=float, default=1.5)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--primal-tol", type=float, default=1e-8)
-    p.add_argument("--rel-obj-tol", type=float, default=1e-10)
+    cfg = AdmmConfig()
+    p.add_argument("--rho", type=float, default=cfg.rho)
+    p.add_argument("--max-iters", type=int, default=cfg.max_iters)
+    p.add_argument("--primal-tol", type=float, default=cfg.primal_tol)
+    p.add_argument("--rel-obj-tol", type=float, default=cfg.rel_obj_tol)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("sweep", help="run a benchmark sweep and write CSV")
-    p.add_argument("--pattern", choices=["uniform", "tracking"], default="uniform")
-    p.add_argument("--fractions", default="0,0.2,0.4,0.6")
-    p.add_argument("--rows", type=int, default=32)
-    p.add_argument("--cols", type=int, default=512)
-    p.add_argument("--rank", type=int, default=4)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--mu-grid", help="comma-separated mu values")
-    p.add_argument("--seed", type=int, default=0)
+    spec = _add_instance_flags(p)
+    p.add_argument("--pattern", choices=["uniform", "tracking"], default=spec.pattern)
+    p.add_argument("--fractions", type=_floats, default=spec.missing_fractions)
+    p.add_argument("--instances", type=int, default=spec.instances)
+    p.add_argument(
+        "--mu-grid", type=_floats, default=spec.mu_grid, help="comma-separated mu values"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

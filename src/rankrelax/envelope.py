@@ -8,8 +8,9 @@ solved in `_blockmax`: per index the objective is
     min(b_i, [s - a_i]_+^2) - (s - sx_i)^2 + s^2 - [s - a_i]_+^2,
 
 which is linear up to the breakpoint a_i + sqrt(b_i) and a concave
-quadratic beyond it, so its per-index maximizer is
-a_i + max(sqrt(b_i), sx_i) and block maximizations are exact.
+quadratic beyond it, so its per-index maximizer (the family's closed
+form at c = 1) is max(a_i + sx_i, a_i + sqrt(b_i)) and block
+maximizations are exact.
 
 When every b_i is infinite (a rank-0 constraint) the objective grows
 without bound for any non-zero sx, and R_h is +inf off zero.
@@ -17,7 +18,7 @@ without bound for any non-zero sx, and R_h is +inf off zero.
 
 import numpy as np
 
-from ._blockmax import coefficients, monotone_argmax
+from ._blockmax import coefficients, index_maximizers, monotone_argmax
 from .linalg import check_matrix, svd
 from .penalty import check_spectrum
 
@@ -37,8 +38,7 @@ def maximizing_spectrum(sx, w):
     # a block holding an infinite-b tail rises with it until its finite
     # members fall off: at most max(a) + max(finite sqrt(b)) + 2 * sum(sx)
     t, below, above = coefficients(sx, w, 1.0, sx.sum())
-    init = w.a + np.maximum(t - w.a, sx)
-    return monotone_argmax(t, below, above, init)
+    return monotone_argmax(t, below, above, index_maximizers(sx, w.a, t, 1.0))
 
 
 def eval_Rh(sx, w):

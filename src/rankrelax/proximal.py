@@ -6,30 +6,16 @@ stronger quadratic: the c = (rho+1)/rho member of the family solved in
 
     min(b_i, [s - a_i]_+^2) - ((rho+1)/rho) * (s - sy_i)^2 + s^2 - [s - a_i]_+^2,
 
-concave whenever rho > 0. The per-index maximizer splits into three
-regimes depending on where sy_i falls relative to a_i and sqrt(b_i); the
-regimes agree at their boundaries, so the map is continuous in sy.
+concave whenever rho > 0. Its per-index maximizer is the family's closed
+form, continuous in sy.
 """
 
-import numpy as np
-
-from ._blockmax import coefficients, monotone_argmax
-from .linalg import check_matrix, compose, svd
+from ._blockmax import coefficients, index_maximizers, monotone_argmax, peak_below
+from .linalg import compose, svd
 from .penalty import check_spectrum
 
 
-__all__ = ["prox_spectrum", "prox_envelope", "prox_Rh"]
-
-
-def _case_maximizers(sy, a, root_b, rho):
-    # the three regimes of the per-index maximizer, on the capped sqrt(b)
-    upper = a / (rho + 1.0) + root_b
-    lower = (a + root_b) / (1.0 + rho)
-    return np.where(
-        sy > upper,
-        a * rho / (rho + 1.0) + sy,
-        np.where(sy >= lower, a + root_b, (1.0 + rho) * sy),
-    )
+__all__ = ["prox_spectrum", "prox_Rh"]
 
 
 def prox_spectrum(sy, w, rho):
@@ -40,39 +26,26 @@ def prox_spectrum(sy, w, rho):
     # a block value never exceeds its members' maximizers, each at most
     # a_i + sqrt(b_i) (left out when infinite) + (1 + rho) * sy_i
     scale = (1.0 + rho) * sy.max(initial=0.0)
-    t, below, above = coefficients(sy, w, (rho + 1.0) / rho, scale)
-    init = _case_maximizers(sy, w.a, t - w.a, rho)
-    return monotone_argmax(t, below, above, init)
-
-
-def prox_envelope(m, x0, w, rho):
-    """argmin_X of envelope(X; x0) + rho * ||X - m||_F^2.
-
-    Solved spectrally: average y = (x0 + rho*m) / (1 + rho), take its
-    SVD, run the prox block maximization on the spectrum, and map back
-    through x = ((rho+1)*sigma(y) - sigma(z)) / rho on the same factors.
-    """
-    if x0 is m:  # prox_Rh's case: one matrix, scanned once
-        x0 = m = check_matrix(m)
-    else:
-        m, x0 = check_matrix(m), check_matrix(x0)
-    if m.shape != x0.shape:
-        raise ValueError("m and x0 must have the same shape")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    y = (x0 + rho * m) / (1.0 + rho)
-    f = svd(y)
-    sz = prox_spectrum(f.spectrum, w, rho)
-    sx = ((rho + 1.0) * f.spectrum - sz) / rho
-    return compose(f.u, sx, f.v)
+    c = (rho + 1.0) / rho
+    t, below, above = coefficients(sy, w, c, scale)
+    return monotone_argmax(t, below, above, index_maximizers(sy, w.a, t, c))
 
 
 def prox_Rh(n, w, tau):
     """argmin_X of the relaxed penalty plus tau * ||X - n||_F^2, tau > 1.
 
     Below strength 1 the subproblem can be non-convex, so tau <= 1 is
-    rejected. Equivalent to prox_envelope(n, n, w, tau - 1).
+    rejected. With rho = tau - 1 it is solved spectrally: take the SVD of
+    n, run the prox block maximization on its spectrum s, and map back
+    through x = ((rho+1)*s - sigma(z)) / rho on the same factors. `svd`
+    validates n.
     """
     if tau <= 1.0:
         raise ValueError("prox strength tau must exceed 1")
-    return prox_envelope(n, n, w, tau - 1.0)
+    rho = tau - 1.0
+    f = svd(n)
+    sz = prox_spectrum(f.spectrum, w, rho)
+    # (rho+1)*s is the peak below for prox_spectrum's c; computed as such,
+    # an index left at it maps to exactly 0
+    sx = (peak_below(f.spectrum, (rho + 1.0) / rho) - sz) / rho
+    return compose(f.u, sx, f.v)

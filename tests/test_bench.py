@@ -164,9 +164,10 @@ class TestMetrics:
 class TestInstanceWeights:
     def test_formula(self):
         m = np.diag([2.0, 1.0])
-        w = instance_weights(m, 4.0, eps=0.0)
-        assert np.allclose(w.a, [1.0, 2.0])
-        assert np.allclose(w.b, [2.0, 4.0])
+        w = instance_weights(m, 4.0)
+        s = np.array([2.0, 1.0]) + bench.WEIGHT_EPS
+        assert np.allclose(w.a, 2.0 / s)
+        assert np.allclose(w.b, 4.0 / s)
 
     def test_always_valid_on_random_data(self):
         rng = np.random.default_rng(2)

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+import rankrelax
 from rankrelax import (
     eval_Rh,
+    linalg,
     make_weights,
     prox_Rh,
-    prox_envelope,
     prox_spectrum,
-    proximal,
     shrink_spectrum,
     svd,
 )
 
 from oracles import monotone_grid_best, prox_terms
+
+
+def prox_two(m, x0, w, rho):
+    """argmin_X of envelope(X; x0) + rho * ||X - m||_F^2, by completing the
+    square: the prox of strength 1 + rho at (x0 + rho*m) / (1 + rho)."""
+    return prox_Rh((x0 + rho * m) / (1.0 + rho), w, 1.0 + rho)
 
 
 def prox_objective_value(x, m, x0, w, rho):
@@ -135,7 +141,7 @@ class TestProxEnvelope:
         m = rng.standard_normal((2, 3))
         x0 = rng.standard_normal((2, 3))
         rho = 1.8
-        out = prox_envelope(m, x0, w, rho)
+        out = prox_two(m, x0, w, rho)
         assert np.allclose(out, (x0 + rho * m) / (1.0 + rho), atol=1e-10)
 
     def test_diagonal_instance_grid_oracle(self):
@@ -144,7 +150,7 @@ class TestProxEnvelope:
         w = make_weights([0.0, 0.0], [1.0, 1.0])
         d = np.diag([0.8, 0.1])
         rho = 1.0
-        out = prox_envelope(d, d, w, rho)
+        out = prox_two(d, d, w, rho)
         assert abs(out[0, 1]) <= 1e-12 and abs(out[1, 0]) <= 1e-12
         grid = np.arange(0.0, 3.0, 1e-4)
         entries = np.array([out[0, 0], out[1, 1]])
@@ -163,7 +169,7 @@ class TestProxEnvelope:
         m = rng.standard_normal((3, 3))
         x0 = rng.standard_normal((3, 3))
         rho = 1.3
-        out = prox_envelope(m, x0, w, rho)
+        out = prox_two(m, x0, w, rho)
         base = prox_objective_value(out, m, x0, w, rho)
         for _ in range(1000):
             d = rng.standard_normal((3, 3))
@@ -178,7 +184,7 @@ class TestProxEnvelope:
             m = rng.standard_normal((k, k))
             x0 = rng.standard_normal((k, k))
             rho = float(rng.uniform(0.5, 3))
-            out = prox_envelope(m, x0, w, rho)
+            out = prox_two(m, x0, w, rho)
             base = prox_objective_value(out, m, x0, w, rho)
             assert base <= prox_objective_value(m, m, x0, w, rho) + 1e-9
             assert base <= prox_objective_value(x0, m, x0, w, rho) + 1e-9
@@ -191,7 +197,7 @@ class TestProxEnvelope:
         m = rng.standard_normal((3, 4))
         x0 = rng.standard_normal((3, 4))
         rho = 2.0
-        out = prox_envelope(m, x0, w, rho)
+        out = prox_two(m, x0, w, rho)
         f = svd((x0 + rho * m) / (1.0 + rho))
         grid = np.arange(0.0, 6.0, 1e-4)
         for i in range(3):
@@ -200,11 +206,6 @@ class TestProxEnvelope:
             expected = ((rho + 1.0) * f.spectrum[i] - sz) / rho
             assert svd(out).spectrum[i] == pytest.approx(expected, abs=1e-3)
 
-    def test_shape_mismatch_rejected(self):
-        w = make_weights([0.0], [0.0])
-        with pytest.raises(ValueError):
-            prox_envelope(np.zeros((1, 2)), np.zeros((2, 2)), w, 1.0)
-
 
 class TestProxRh:
     def test_unweighted_identity(self):
@@ -212,12 +213,6 @@ class TestProxRh:
         w = make_weights([0.0, 0.0], [0.0, 0.0])
         n = rng.standard_normal((2, 4))
         assert np.allclose(prox_Rh(n, w, 3.0), n, atol=1e-10)
-
-    def test_defining_identity(self):
-        rng = np.random.default_rng(9)
-        w = make_weights([0.3, 0.6], [0.2, 0.9])
-        n = rng.standard_normal((2, 2))
-        assert np.array_equal(prox_Rh(n, w, 2.5), prox_envelope(n, n, w, 1.5))
 
     def test_large_tau_matches_hard_threshold_above_cut(self):
         # with every singular value above sqrt(mu) the rank penalty is
@@ -252,24 +247,28 @@ class TestProxRh:
             assert np.array_equal(prox_Rh(n, w, tau), np.zeros((3, 5)))
 
     def test_input_checked_once(self, monkeypatch):
-        # prox_Rh passes one array as both m and x0; distinct arrays are
-        # each checked
+        # counted through every module binding of check_matrix: svd's
+        # check is the only one on the prox path
         checked = []
-        real = proximal.check_matrix
+        real = linalg.check_matrix
 
         def spy(x):
             checked.append(x)
             return real(x)
 
-        monkeypatch.setattr(proximal, "check_matrix", spy)
+        for name in dir(rankrelax):
+            module = getattr(rankrelax, name)
+            if getattr(module, "check_matrix", None) is real:
+                monkeypatch.setattr(module, "check_matrix", spy)
         w = make_weights([0.3, 0.6], [0.2, 0.9])
         n = np.random.default_rng(13).standard_normal((2, 4))
         prox_Rh(n, w, 2.5)
         assert len(checked) == 1
-        prox_envelope(n, n.copy(), w, 1.5)
-        assert len(checked) == 3
-        with pytest.raises(ValueError):
-            prox_envelope(n, np.full((2, 4), np.nan), w, 1.5)
+        prox_Rh(n, w, 1.5)
+        assert len(checked) == 2
+        for bad in (np.full((2, 4), np.nan), np.zeros(4)):
+            with pytest.raises(ValueError):
+                prox_Rh(bad, w, 2.5)
 
     def test_rejects_weak_strength(self):
         w = make_weights([0.0], [0.0])
