@@ -17,23 +17,20 @@ is found exactly by enumerating pieces and closed-form vertices. The
 monotone-cone maximization merges adjacent blocks pool-adjacent-violators
 style: each merged block is re-solved over [0, inf) and carries one
 constant value.
+
+An infinite b_i (a hard rank cap) is used as it is: t_i = +inf, and the
+term keeps its below quadratic on all of [0, inf). At c = 1 it rises
+without bound, so PAV merges it into a block with a finite b_j, whose
+sum has a finite maximum; the envelope needs only b_1 finite.
 """
 
 import numpy as np
 
 
-def coefficients(s, w, c, scale):
-    """Per-index (threshold, below-quadratic, above-quadratic) arrays.
-
-    Callers pass a `scale` such that no optimal value exceeds
-    max(a) + max(finite sqrt(b)) + 2 * scale. An infinite b_i never
-    saturates the min, so it is replaced by a finite stand-in past that
-    bound: the objective is unchanged wherever the optimum can lie, and
-    every breakpoint stays finite.
-    """
-    finite = np.sqrt(w.b[np.isfinite(w.b)]).max(initial=0.0)
-    cap = 10.0 * (w.a[-1] + finite + scale) + 1.0
-    root_b = np.minimum(np.sqrt(w.b), cap)
+def coefficients(s, w, c):
+    """Per-index (threshold, below-quadratic, above-quadratic) arrays; an
+    infinite b_i gives t_i = +inf and an above quadratic that is never used."""
+    root_b = np.sqrt(w.b)
     t = w.a + root_b
     k = s.shape[0]
     below = np.column_stack([np.full(k, 1.0 - c), 2.0 * c * s, -c * s**2])
@@ -87,23 +84,24 @@ def piece_argmax(thresholds, below, above, idx):
     return float(flat[best, 0])
 
 
-def monotone_argmax(thresholds, below, above, init):
-    """Maximize the separable sum over the non-increasing non-negative cone.
+def monotone_argmax(s, w, c):
+    """Maximize the family's sum for (s, w, c) over the monotone cone.
 
     Standard pool-adjacent-violators scheme: start from the per-index
-    maximizers over [0, inf), given in closed form as `init`; whenever
-    adjacent block values violate the ordering, merge the blocks and
-    re-solve the union.
+    maximizers over [0, inf), in closed form; whenever adjacent block
+    values violate the ordering, merge the blocks and re-solve the union.
     """
+    thresholds, below, above = coefficients(s, w, c)
+    init = index_maximizers(s, w.a, thresholds, c)
     k = thresholds.shape[0]
     blocks = []  # (start, end inclusive, value)
     for i in range(k):
-        start, s = i, init[i]
-        while blocks and blocks[-1][2] < s:
+        start, z = i, init[i]
+        while blocks and blocks[-1][2] < z:
             start = blocks.pop()[0]
-            s = piece_argmax(thresholds, below, above, np.arange(start, i + 1))
-        blocks.append((start, i, s))
+            z = piece_argmax(thresholds, below, above, np.arange(start, i + 1))
+        blocks.append((start, i, z))
     out = np.empty(k)
-    for start, end, s in blocks:
-        out[start : end + 1] = s
+    for start, end, z in blocks:
+        out[start : end + 1] = z
     return out

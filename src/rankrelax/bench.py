@@ -138,9 +138,7 @@ def mask_tracking(rows, cols, fraction, seed):
 def normalized_distance(x, m0):
     """Frobenius distance to ground truth, relative to its norm."""
     x = check_matrix(x)
-    m0 = check_matrix(m0)
-    if x.shape != m0.shape:
-        raise ValueError("shapes differ")
+    m0 = check_matrix(m0, x.shape)
     denom = np.linalg.norm(m0)
     if denom == 0:
         raise ValueError("ground truth is zero; metric undefined")
@@ -149,9 +147,7 @@ def normalized_distance(x, m0):
 
 def datafit(x, obs):
     """Frobenius norm (not squared) of the masked residual."""
-    x = check_matrix(x)
-    if x.shape != obs.m.shape:
-        raise ValueError("shape mismatch with observations")
+    x = check_matrix(x, obs.m.shape)
     return float(np.linalg.norm(obs.w * (x - obs.m)))
 
 

@@ -48,13 +48,6 @@ def save_matrix(x, path):
     np.savetxt(path, np.atleast_2d(x), delimiter=",", fmt="%.17g")
 
 
-def _load_mask(path):
-    w = load_matrix(path)
-    if not np.all((w == 0) | (w == 1)):
-        raise ValueError("%s: mask entries must be 0 or 1" % path)
-    return w
-
-
 def _floats(text):
     """A comma-separated list of numbers, as a tuple."""
     return tuple(float(t) for t in text.split(","))
@@ -87,7 +80,7 @@ def _cmd_synth(args):
 
 def _cmd_complete(args):
     m = load_matrix(args.matrix)
-    mask = _load_mask(args.mask) if args.mask else np.ones_like(m)
+    mask = load_matrix(args.mask) if args.mask else np.ones_like(m)
     obs = MaskedObservations(m=m, w=mask)
     weights = _build_weights(args, m)
     cfg = AdmmConfig(

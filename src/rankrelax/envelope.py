@@ -12,13 +12,14 @@ quadratic beyond it, so its per-index maximizer (the family's closed
 form at c = 1) is max(a_i + sx_i, a_i + sqrt(b_i)) and block
 maximizations are exact.
 
-When every b_i is infinite (a rank-0 constraint) the objective grows
-without bound for any non-zero sx, and R_h is +inf off zero.
+An infinite b_i (a hard rank cap) is exact, used as it is. When every
+b_i is infinite (a rank-0 constraint) the objective grows without bound
+for any non-zero sx, and R_h is +inf off zero.
 """
 
 import numpy as np
 
-from ._blockmax import coefficients, index_maximizers, monotone_argmax
+from ._blockmax import monotone_argmax
 from .linalg import check_matrix, svd
 from .penalty import check_spectrum
 
@@ -35,10 +36,7 @@ def maximizing_spectrum(sx, w):
     sx = check_spectrum(sx, w)
     if np.isinf(w.b[0]):
         raise ValueError("every b_i is infinite: R_h is +inf off zero, with no maximizer")
-    # a block holding an infinite-b tail rises with it until its finite
-    # members fall off: at most max(a) + max(finite sqrt(b)) + 2 * sum(sx)
-    t, below, above = coefficients(sx, w, 1.0, sx.sum())
-    return monotone_argmax(t, below, above, index_maximizers(sx, w.a, t, 1.0))
+    return monotone_argmax(sx, w, 1.0)
 
 
 def eval_Rh(sx, w):
@@ -55,9 +53,7 @@ def eval_Rh(sx, w):
 def eval_envelope(x, x0, w):
     """Envelope of the penalty plus the quadratic distance to x0."""
     x = check_matrix(x)
-    x0 = check_matrix(x0)
-    if x.shape != x0.shape:
-        raise ValueError("x and x0 must have the same shape")
+    x0 = check_matrix(x0, x.shape)
     return eval_Rh(svd(x, compute_uv=False), w) + float(np.sum((x - x0) ** 2))
 
 
@@ -68,11 +64,7 @@ def fenchel_conjugate(y, x0, w):
     sum [sigma_i(Z) - a_i]_+^2 - ||x0||_F^2 - sum min(b_i, [sigma_i(Z) - a_i]_+^2).
     """
     y = check_matrix(y)
-    x0 = check_matrix(x0)
-    if y.shape != x0.shape:
-        raise ValueError("y and x0 must have the same shape")
-    sz = svd(y / 2.0 + x0, compute_uv=False)
-    if sz.shape[0] != len(w):
-        raise ValueError("weights do not match matrix shape")
+    x0 = check_matrix(x0, y.shape)
+    sz = check_spectrum(svd(y / 2.0 + x0, compute_uv=False), w)
     r2 = np.maximum(sz - w.a, 0.0) ** 2
     return float(np.sum(r2) - np.sum(x0**2) - np.sum(np.minimum(w.b, r2)))

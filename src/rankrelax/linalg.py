@@ -145,11 +145,14 @@ def _find_openblas():
 _BLAS = _find_openblas()
 
 
-def check_matrix(x):
-    """Coerce to a finite 2D float array, raising ValueError otherwise."""
+def check_matrix(x, shape=None):
+    """Coerce to a finite 2D float array, of the given shape if one is
+    given, raising ValueError otherwise."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("expected a non-empty 2D matrix, got shape %s" % (x.shape,))
+    if shape is not None and x.shape != shape:
+        raise ValueError("expected shape %s, got %s" % (shape, x.shape))
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix contains non-finite entries")
     return x

@@ -6,11 +6,13 @@ stronger quadratic: the c = (rho+1)/rho member of the family solved in
 
     min(b_i, [s - a_i]_+^2) - ((rho+1)/rho) * (s - sy_i)^2 + s^2 - [s - a_i]_+^2,
 
-concave whenever rho > 0. Its per-index maximizer is the family's closed
-form, continuous in sy.
+concave for every finite rho > 0. Its per-index maximizer is the
+family's closed form, continuous in sy; an infinite b_i is exact.
 """
 
-from ._blockmax import coefficients, index_maximizers, monotone_argmax, peak_below
+import math
+
+from ._blockmax import monotone_argmax, peak_below
 from .linalg import compose, svd
 from .penalty import check_spectrum
 
@@ -21,27 +23,22 @@ __all__ = ["prox_spectrum", "prox_Rh"]
 def prox_spectrum(sy, w, rho):
     """Maximizing spectrum of the prox objective over the monotone cone."""
     sy = check_spectrum(sy, w)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    # a block value never exceeds its members' maximizers, each at most
-    # a_i + sqrt(b_i) (left out when infinite) + (1 + rho) * sy_i
-    scale = (1.0 + rho) * sy.max(initial=0.0)
-    c = (rho + 1.0) / rho
-    t, below, above = coefficients(sy, w, c, scale)
-    return monotone_argmax(t, below, above, index_maximizers(sy, w.a, t, c))
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
+    return monotone_argmax(sy, w, (rho + 1.0) / rho)
 
 
 def prox_Rh(n, w, tau):
     """argmin_X of the relaxed penalty plus tau * ||X - n||_F^2, tau > 1.
 
-    Below strength 1 the subproblem can be non-convex, so tau <= 1 is
-    rejected. With rho = tau - 1 it is solved spectrally: take the SVD of
-    n, run the prox block maximization on its spectrum s, and map back
-    through x = ((rho+1)*s - sigma(z)) / rho on the same factors. `svd`
-    validates n.
+    Below strength 1 the subproblem can be non-convex, so tau must exceed
+    1, and be finite. With rho = tau - 1 it is solved spectrally: take
+    the SVD of n, run the prox block maximization on its spectrum s, and
+    map back through x = ((rho+1)*s - sigma(z)) / rho on the same
+    factors. `svd` validates n.
     """
-    if tau <= 1.0:
-        raise ValueError("prox strength tau must exceed 1")
+    if not 1.0 < tau < math.inf:
+        raise ValueError("prox strength tau must exceed 1 and be finite")
     rho = tau - 1.0
     f = svd(n)
     sz = prox_spectrum(f.spectrum, w, rho)

@@ -9,6 +9,7 @@ full SVD and a PAV pass, so it is evaluated only where the stall test
 uses it, once per _STALL_WINDOW iterations, plus once at exit.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +41,7 @@ class MaskedObservations:
 
     def __post_init__(self):
         m = check_matrix(self.m)
-        w = check_matrix(self.w)
-        if m.shape != w.shape:
-            raise ValueError("measurements and mask must have the same shape")
+        w = check_matrix(self.w, m.shape)
         if not np.all((w == 0) | (w == 1)):
             raise ValueError("mask entries must be 0 or 1")
         object.__setattr__(self, "m", m)
@@ -57,12 +56,12 @@ class AdmmConfig:
     rel_obj_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rho <= 1.0:
-            raise ValueError("rho must exceed 1 (prox subproblem convexity)")
+        if not 1.0 < self.rho < math.inf:
+            raise ValueError("rho must exceed 1 (prox subproblem convexity) and be finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.primal_tol <= 0 or self.rel_obj_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf for tol in (self.primal_tol, self.rel_obj_tol)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -90,17 +89,13 @@ class AdmmDiagnostics:
 
 def data_update(t, obs, rho):
     """Elementwise minimizer of rho*||Y - t||^2 + ||W . (Y - M)||^2."""
-    t = check_matrix(t)
-    if t.shape != obs.m.shape:
-        raise ValueError("shape mismatch with observations")
+    t = check_matrix(t, obs.m.shape)
     return (rho * t + obs.w * obs.m) / (rho + obs.w)
 
 
 def solve_objective(x, obs, w):
     """Relaxed completion objective: envelope penalty plus masked datafit."""
-    x = check_matrix(x)
-    if x.shape != obs.m.shape:
-        raise ValueError("shape mismatch with observations")
+    x = check_matrix(x, obs.m.shape)
     return eval_Rh(svd(x, compute_uv=False), w) + float(np.sum((obs.w * (x - obs.m)) ** 2))
 
 

@@ -142,6 +142,17 @@ class TestProx:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_rejected(self, tmp_path, tau):
+        m_path, out_path = tmp_path / "m.csv", tmp_path / "x.csv"
+        save_matrix(np.eye(2), m_path)
+        code = run(
+            ["prox", "--matrix", str(m_path), "--tau", tau,
+             "--penalty", "nuclear", "--mu", "1", "--out", str(out_path)]
+        )
+        assert code == 2
+        assert not out_path.exists()
+
     def test_missing_file_io_failure(self, tmp_path):
         code = run(
             ["prox", "--matrix", str(tmp_path / "absent.csv"), "--tau", "2",

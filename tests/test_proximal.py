@@ -276,3 +276,14 @@ class TestProxRh:
             prox_Rh(np.zeros((1, 1)), w, 1.0)
         with pytest.raises(ValueError):
             prox_Rh(np.zeros((1, 1)), w, 0.5)
+
+    @pytest.mark.parametrize("strength", [np.nan, np.inf])
+    def test_rejects_non_finite_strength(self, strength):
+        # NaN fails every comparison, so only a range test rejects it; an
+        # infinite strength would make the map back divide inf by inf
+        w = make_weights([0.1, 0.2], [0.3, np.inf])
+        n = np.random.default_rng(14).standard_normal((2, 4))
+        with pytest.raises(ValueError):
+            prox_Rh(n, w, strength)
+        with pytest.raises(ValueError):
+            prox_spectrum(np.array([1.0, 0.5]), w, strength)

@@ -59,6 +59,14 @@ class TestAdmmConfig:
         with pytest.raises(ValueError):
             AdmmConfig(rel_obj_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["rho", "primal_tol", "rel_obj_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, value):
+        # a NaN tolerance never stops a solve early; a non-finite rho
+        # breaks the first prox
+        with pytest.raises(ValueError):
+            AdmmConfig(**{field: value})
+
 
 class TestDataUpdate:
     def test_unobserved_passthrough(self):
