@@ -12,12 +12,7 @@ from .bench import (
     run_sweep,
     write_results_csv,
 )
-from .envelope import (
-    eval_Rh,
-    eval_envelope,
-    fenchel_conjugate,
-    maximizing_spectrum,
-)
+from .envelope import eval_Rh, maximizing_spectrum
 from .linalg import SvdFactors, compose, svd
 from .penalty import (
     InvalidWeightsError,
@@ -51,9 +46,7 @@ __all__ = [
     "data_update",
     "datafit",
     "eval_Rh",
-    "eval_envelope",
     "eval_h",
-    "fenchel_conjugate",
     "gen_instance",
     "instance_weights",
     "make_weights",

@@ -14,6 +14,8 @@ is at least t_i; otherwise the peak below, c*s_i/(c-1), when c > 1 and
 that is at most t_i; otherwise t_i itself. Block sums are piecewise
 quadratic with at most |block| breakpoints, so the maximum over [0, inf)
 is found exactly by enumerating pieces and closed-form vertices. The
+thresholds need no sort: PenaltyWeights keeps a and b non-decreasing, so
+t is non-decreasing too and a block's breakpoints come in index order. The
 monotone-cone maximization merges adjacent blocks pool-adjacent-violators
 style: each merged block is re-solved over [0, inf) and carries one
 constant value.
@@ -52,25 +54,24 @@ def index_maximizers(s, a, t, c):
     return np.where(peak_above >= t, peak_above, below)
 
 
-def piece_argmax(thresholds, below, above, idx):
-    """Maximize the block sum over [0, inf); returns the argmax.
+def piece_argmax(t, below, above):
+    """Maximize the sum of one block's contiguous rows over [0, inf);
+    returns the argmax.
 
-    Pieces are enumerated via prefix sums in threshold order; candidates
+    Pieces are enumerated via prefix sums in index order, which is
+    threshold order (see above), so nothing is sorted; candidates
     (piece endpoints and interior vertices) are evaluated in ascending
     order so flat stretches resolve to their left end deterministically.
     """
-    t = thresholds[idx]
     cuts = np.unique(t[(t > 0.0) & (t < np.inf)])
     edges = np.concatenate(([0.0], cuts, [np.inf]))
     lefts, rights = edges[:-1], edges[1:]
 
     # coefficient sums per piece: start from all-below, swap to above as
     # each threshold is passed
-    order = np.argsort(t, kind="stable")
-    delta = (above[idx] - below[idx])[order]
-    prefix = np.vstack([np.zeros(3), np.cumsum(delta, axis=0)])
-    n_above = np.searchsorted(t[order], lefts, side="right")
-    coeffs = below[idx].sum(axis=0) + prefix[n_above]  # (pieces, 3)
+    prefix = np.vstack([np.zeros(3), np.cumsum(above - below, axis=0)])
+    n_above = np.searchsorted(t, lefts, side="right")
+    coeffs = below.sum(axis=0) + prefix[n_above]  # (pieces, 3)
     a2, a1, a0 = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -99,7 +100,8 @@ def monotone_argmax(s, w, c):
         start, z = i, init[i]
         while blocks and blocks[-1][2] < z:
             start = blocks.pop()[0]
-            z = piece_argmax(thresholds, below, above, np.arange(start, i + 1))
+            block = slice(start, i + 1)
+            z = piece_argmax(thresholds[block], below[block], above[block])
         blocks.append((start, i, z))
     out = np.empty(k)
     for start, end, z in blocks:

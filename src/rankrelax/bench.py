@@ -8,7 +8,8 @@ eps = WEIGHT_EPS.
 """
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,16 +52,16 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.rank < 1 or self.rank > min(self.rows, self.cols):
             raise ValueError("rank must be in [1, min(rows, cols)]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError("noise_sigma must be finite and non-negative")
         if self.pattern not in ("uniform", "tracking"):
             raise ValueError("pattern must be 'uniform' or 'tracking'")
         if any(not 0 <= f < 1 for f in self.missing_fractions):
             raise ValueError("missing fractions must lie in [0, 1)")
         if self.instances < 1:
             raise ValueError("instances must be positive")
-        if any(mu <= 0 for mu in self.mu_grid):
-            raise ValueError("mu grid entries must be positive")
+        if any(not (math.isfinite(mu) and mu > 0) for mu in self.mu_grid):
+            raise ValueError("mu grid entries must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,7 @@ def run_sweep(spec, cfg=None):
                 )
             )
         best = min(range(len(per_mu)), key=lambda i: per_mu[i].mean_norm_dist)
-        per_mu[best] = ResultRecord(
-            **{**per_mu[best].__dict__, "best": True}
-        )
+        per_mu[best] = replace(per_mu[best], best=True)
         records.extend(per_mu)
     return records
 

@@ -20,11 +20,10 @@ for any non-zero sx, and R_h is +inf off zero.
 import numpy as np
 
 from ._blockmax import monotone_argmax
-from .linalg import check_matrix, svd
 from .penalty import check_spectrum
 
 
-__all__ = ["maximizing_spectrum", "eval_Rh", "eval_envelope", "fenchel_conjugate"]
+__all__ = ["maximizing_spectrum", "eval_Rh"]
 
 
 def maximizing_spectrum(sx, w):
@@ -48,23 +47,3 @@ def eval_Rh(sx, w):
     r2 = np.maximum(z - w.a, 0.0) ** 2
     terms = np.minimum(w.b, r2) + z**2 - (sx - z) ** 2 - r2
     return float(np.sum(terms))
-
-
-def eval_envelope(x, x0, w):
-    """Envelope of the penalty plus the quadratic distance to x0."""
-    x = check_matrix(x)
-    x0 = check_matrix(x0, x.shape)
-    return eval_Rh(svd(x, compute_uv=False), w) + float(np.sum((x - x0) ** 2))
-
-
-def fenchel_conjugate(y, x0, w):
-    """Conjugate of the penalty-plus-quadratic objective at a dual matrix y.
-
-    With Z = y/2 + x0 the value is
-    sum [sigma_i(Z) - a_i]_+^2 - ||x0||_F^2 - sum min(b_i, [sigma_i(Z) - a_i]_+^2).
-    """
-    y = check_matrix(y)
-    x0 = check_matrix(x0, y.shape)
-    sz = check_spectrum(svd(y / 2.0 + x0, compute_uv=False), w)
-    r2 = np.maximum(sz - w.a, 0.0) ** 2
-    return float(np.sum(r2) - np.sum(x0**2) - np.sum(np.minimum(w.b, r2)))

@@ -1,10 +1,13 @@
 """Independent brute-force oracles used to check closed-form solvers.
 
-These evaluate the raw objective definitions on grids and never call the
-breakpoint or block-merging code they are checking.
+These evaluate the raw objective definitions on grids or in closed form
+and never call the breakpoint or block-merging code they are checking.
 """
 
 import numpy as np
+
+from rankrelax.linalg import check_matrix, svd
+from rankrelax.penalty import check_spectrum
 
 
 def envelope_terms(s_grid, sx, a, b):
@@ -50,3 +53,16 @@ def scalar_envelope(x, a, b, z_grid):
     r2 = np.maximum(z_grid - a, 0.0) ** 2
     vals = np.minimum(b, r2) + z_grid**2 - (x - z_grid) ** 2 - r2
     return float(vals.max())
+
+
+def fenchel_conjugate(y, x0, w):
+    """Conjugate of the penalty-plus-quadratic objective at a dual matrix y.
+
+    With Z = y/2 + x0 the value is
+    sum [sigma_i(Z) - a_i]_+^2 - ||x0||_F^2 - sum min(b_i, [sigma_i(Z) - a_i]_+^2).
+    """
+    y = check_matrix(y)
+    x0 = check_matrix(x0, y.shape)
+    sz = check_spectrum(svd(y / 2.0 + x0, compute_uv=False), w)
+    r2 = np.maximum(sz - w.a, 0.0) ** 2
+    return float(np.sum(r2) - np.sum(x0**2) - np.sum(np.minimum(w.b, r2)))

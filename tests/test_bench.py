@@ -55,6 +55,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(pattern="checkerboard")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_noise_sigma(self, value):
+        with pytest.raises(ValueError):
+            ExperimentSpec(noise_sigma=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_mu(self, value):
+        with pytest.raises(ValueError):
+            ExperimentSpec(mu_grid=(1.0, value))
+
 
 class TestGenInstance:
     def test_noiseless_rank_one(self):

@@ -63,6 +63,14 @@ class TestSynth:
             outs.append(load_matrix(p))
         assert np.array_equal(outs[0], outs[1])
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_rejected(self, tmp_path, sigma):
+        out_path = tmp_path / "m.csv"
+        code = run(["synth", "--rows", "3", "--cols", "4", "--rank", "1",
+                    "--sigma", sigma, "--out", str(out_path)])
+        assert code == 2
+        assert not out_path.exists()
+
 
 class TestComplete:
     def test_full_mask_nuclear(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Each narrative script under demos/ runs to completion on the public API."""
+"""Each narrative script under demos/ runs to completion on the public API,
+with RuntimeWarning raised as an error as in the test suite."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_found():
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
     )
     assert out.returncode == 0, out.stderr

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from rankrelax import (
+    MaskedObservations,
     eval_Rh,
-    eval_envelope,
     eval_h,
-    fenchel_conjugate,
     make_weights,
     maximizing_spectrum,
     preset,
+    solve_objective,
     svd,
 )
 
-from oracles import envelope_terms, monotone_grid_best
+from oracles import envelope_terms, fenchel_conjugate, monotone_grid_best
 
 
 def random_instance(rng, kmax=5, hi=3.0):
@@ -194,6 +194,11 @@ class TestEvalRh:
         sx = np.ones(k)
         assert np.allclose(maximizing_spectrum(sx, w), 39.0, rtol=0, atol=1e-12)
         assert eval_Rh(sx, w) == pytest.approx(-(38.0**2) + 38 * 77.0)
+
+
+def eval_envelope(x, x0, w):
+    """Envelope of the penalty plus ||x - x0||^2: the solver objective at a full mask."""
+    return solve_objective(x, MaskedObservations(x0, np.ones_like(x0)), w)
 
 
 class TestEvalEnvelope:
