@@ -9,8 +9,9 @@ solved in `_blockmax`: per index the objective is
 
 which is linear up to the breakpoint a_i + sqrt(b_i) and a concave
 quadratic beyond it, so its per-index maximizer (the family's closed
-form at c = 1) is max(a_i + sx_i, a_i + sqrt(b_i)) and block
-maximizations are exact.
+form at c = 1) is a_i + max(sx_i, sqrt(b_i)) when sx_i > 0, and 0 when
+sx_i = 0, where the term is flat up to the breakpoint and the left end
+is taken. Block maximizations are exact, and R_h(0) = 0 exactly.
 
 An infinite b_i (a hard rank cap) is exact, used as it is. When every
 b_i is infinite (a rank-0 constraint) the objective grows without bound

@@ -3,7 +3,8 @@
 Both `maximizing_spectrum` (c = 1) and `prox_spectrum` (c = (rho+1)/rho)
 run on one PAV solve, which uses an infinite b_i as it is: its breakpoint
 lies at +inf and adds no cut. Checked against the brute-force grid oracle
-and by exact power-of-two scaling, with infinite-b tails up to k = 40.
+and by exact power-of-two scaling, with infinite-b tails up to k = 40;
+the block solve `piece_argmax` is checked against the grid on its own.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankrelax import make_weights, maximizing_spectrum, prox_spectrum
+from rankrelax._blockmax import piece_argmax
 
 from oracles import envelope_terms, monotone_grid_best, prox_terms
 
@@ -78,3 +80,25 @@ def test_exact_under_power_of_two_scaling(inst, rho, j):
     assert np.array_equal(
         prox_spectrum(np.ldexp(sy, j), scaled, rho), np.ldexp(prox_spectrum(sy, w, rho), j)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.one_of(st.just(None), st.floats(0.05, 20.0)))
+def test_block_solve_reaches_the_grid_optimum(inst, rho):
+    # one block, unconstrained over [0, inf): c = 1 (rho None) or c > 1
+    s, a, b = inst
+    hi, grid = grid_for(s, a, b, 1.0 if rho is None else rho)
+    if rho is None:
+        c, terms = 1.0, lambda z: envelope_terms(z, s, a, b)
+    else:
+        c, terms = (rho + 1.0) / rho, lambda z: prox_terms(z, s, a, b, rho)
+    z = piece_argmax(s, a, a + np.sqrt(b), c)
+    assert 0.0 <= z < hi
+    assert terms(np.array([z])).sum() >= terms(grid).sum(axis=0).max() - ORACLE_TOL
+
+
+def test_flat_block_takes_its_left_end():
+    # at c = 1 an all-zero block is flat up to its first threshold
+    a, b = np.array([0.5, 2.0, 2.0]), np.array([4.0, 9.0, np.inf])
+    for n in (1, 2, 3):
+        assert piece_argmax(np.zeros(n), a[:n], (a + np.sqrt(b))[:n], 1.0) == 0.0

@@ -179,6 +179,20 @@ class TestEvalRh:
             with pytest.raises(ValueError):
                 maximizing_spectrum(sx, w)
 
+    def test_exactly_zero_at_zero_spectrum(self):
+        # R_h(0) = h(0) = 0. At sx_i = 0 each term is flat on [0, t_i] and
+        # the maximizer takes its left end, 0, so no terms cancel in rounding
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            k = int(rng.integers(1, 6))
+            scale = 10.0 ** rng.uniform(-8, 8)
+            a = np.sort(rng.uniform(0, 3, k)) * scale
+            b = (np.sort(rng.uniform(0, 3, k)) * scale) ** 2
+            b[int(rng.integers(1, k + 1)) :] = np.inf
+            w = make_weights(a, b)
+            assert eval_Rh(np.zeros(k), w) == 0.0
+            assert np.all(maximizing_spectrum(np.zeros(k), w) == 0.0)
+
     def test_large_finite_rank_cost(self):
         # sqrt(b) = 3 far above a + sx: the maximizer sits on the breakpoint,
         # where R_h = 2*sqrt(b)*s - s^2
