@@ -2,39 +2,45 @@
 
 All matrices are plain 2D float ndarrays. The thin SVD (k = min(m, n))
 is used everywhere; sign/rotation ambiguity of the factors is accepted
-since downstream code only consumes the spectrum or the composed matrix.
+since downstream code only consumes the spectrum or matrices composed
+from the factors.
 
 `svd` is the one place that decides how LAPACK is called:
 
 - Orientation. A wide matrix (m < n) is factored through its tall
   transpose, x.T = U S V^T, so x = V S U^T; LAPACK's tall path is the
   faster one, and the spectrum moves only in the last digits.
+- Zero matrix. When max|x| = 0 the spectrum is zero and the factors are
+  eye(m, k) and eye(n, k); no LAPACK routine is called. ADMM's first
+  prox input is such a matrix.
 - Gram route, under a certificate. Let t be the tall orientation scaled
   by 1/max|x|, so t's entries lie in [-1, 1] and the p x p Gram matrix
   g = t^T t (p = min(m, n)) has entries of at most max(m, n). Its
   eigenpairs (eigh; eigvalsh for values only) give sigma = sqrt(lambda)
   in descending order, the eigenvectors W as t's right factor and
   t W / sigma as its left factor; the spectrum is scaled back by max|x|.
+  The left factor is the long one, a max(m, n) x p x p product, so it
+  is formed the first time it is read (as v of a wide x, u of a tall
+  one): `prox_Rh` reads only the short factor W and never pays for it.
   Forming g squares the condition number kappa = sigma_1 / sigma_p:
   sigma_i carries an absolute error of about eps * kappa * sigma_1, and
   t W / sigma loses orthogonality like eps * kappa^2 (Golub & Van Loan,
   Matrix Computations, sec. 8.6; Higham, Accuracy and Stability of
   Numerical Algorithms, ch. 20). So the route is taken only when every
   lambda is finite, lambda_max > 0 and lambda_min >= _GRAM_MIN_RATIO *
-  lambda_max, i.e. kappa <= 447. Otherwise, also for a zero matrix or
-  when eigh raises, the call falls back to LAPACK's SVD. The check is
-  reliable because eigh's absolute error is about eps * lambda_max, far
-  below _GRAM_MIN_RATIO * lambda_max. The scaling is what makes it
-  reliable at any magnitude: unscaled, entries near 1e-160 give a
-  subnormal g whose small eigenvalues are lost, and the check passes on
-  a wrong spectrum.
+  lambda_max, i.e. kappa <= 447. Otherwise, also when eigh raises, the
+  call falls back to LAPACK's SVD. The check is reliable because eigh's
+  absolute error is about eps * lambda_max, far below _GRAM_MIN_RATIO *
+  lambda_max. The scaling is what makes it reliable at any magnitude:
+  unscaled, entries near 1e-160 give a subnormal g whose small
+  eigenvalues are lost, and the check passes on a wrong spectrum.
   Timed against the LAPACK route alone (one BLAS thread, 2-vCPU
-  machine), `svd` on matrices that pass the certificate (kappa = 10) is
-  2.0x as fast at 32x512 and 3.7x at 128x2048 (values only: 1.8x and
-  3.4x), and breaks even near 12x12. A matrix that fails it pays for
-  the attempt: +38% for a rank-one 128x2048, +79% values only for a
-  rank-one 32x512. Below 16x16, either route takes up to twice as long
-  as the LAPACK route alone.
+  machine, both factors formed), `svd` on matrices that pass the
+  certificate (kappa = 10) is 2.0x as fast at 32x512 and 3.7x at
+  128x2048 (values only: 1.8x and 3.4x), and breaks even near 12x12. A
+  matrix that fails it pays for the attempt: +38% for a rank-one
+  128x2048, +79% values only for a rank-one 32x512. Below 16x16, either
+  route takes up to twice as long as the LAPACK route alone.
 - One BLAS thread. Either route runs with OpenBLAS set to a single
   thread: at the sizes this package solves (32x512 to 128x2048), two
   threads made the thin SVD 1.7 to 2.4 times as slow as one on a 2-vCPU
@@ -43,7 +49,8 @@ since downstream code only consumes the spectrum or the composed matrix.
   calls restore it once, when the last of them exits. The library's
   SVDs therefore run single-threaded whatever OPENBLAS_NUM_THREADS
   says; that variable is read only when OpenBLAS loads, which is before
-  this module imports.
+  this module imports. A long factor formed on read is a plain product,
+  like compose's, and runs at OpenBLAS's own thread count.
 
 The OpenBLAS thread controls are found once, at import, in the library
 numpy has already loaded (on Linux, the `openblas` entry of
@@ -54,7 +61,6 @@ the scope does nothing.
 import ctypes
 import threading
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,13 +83,28 @@ _THREAD_SYMBOLS = (
 _GRAM_MIN_RATIO = 5e-6
 
 
-@dataclass(frozen=True)
 class SvdFactors:
-    """Thin SVD factors: u (m x k), spectrum (k,), v (n x k)."""
+    """Thin SVD factors: u (m x k), spectrum (k,), v (n x k).
 
-    u: np.ndarray
-    spectrum: np.ndarray
-    v: np.ndarray
+    A factor may be passed as a function of no arguments, called the
+    first time the factor is read; the Gram route passes its long factor
+    so.
+    """
+
+    __slots__ = ("_u", "spectrum", "_v")
+
+    def __init__(self, u, spectrum, v):
+        self._u, self.spectrum, self._v = u, spectrum, v
+
+    def _read(self, name):
+        factor = getattr(self, name)
+        if callable(factor):
+            factor = factor()
+            setattr(self, name, factor)
+        return factor
+
+    u = property(lambda self: self._read("_u"))
+    v = property(lambda self: self._read("_v"))
 
 
 class _OneBlasThread:
@@ -158,12 +179,10 @@ def check_matrix(x, shape=None):
     return x
 
 
-def _gram_svd(tall, compute_uv):
+def _gram_svd(tall, scale, compute_uv):
     """(u, spectrum, v) or the spectrum of tall by the Gram route, or None
-    when its certificate fails."""
-    scale = max(tall.max(), -tall.min())  # max|x|, without an |x| temporary
-    if not scale > 0:
-        return None
+    when its certificate fails; scale is max|tall| > 0. u is a function
+    that forms the long factor when called."""
     t = tall / scale
     g = t.T @ t
     try:
@@ -180,10 +199,8 @@ def _gram_svd(tall, compute_uv):
     s = np.sqrt(lam[::-1])
     if not compute_uv:
         return scale * s
-    # column-major like LAPACK's right factor: compose's product of the
-    # 32 x 32 factor of a 32 x 512 matrix is 1.6x as fast in this layout
-    w = np.asfortranarray(w[:, ::-1])
-    return t @ (w / s), scale * s, w
+    w = w[:, ::-1]
+    return lambda: t @ (w / s), scale * s, w
 
 
 def _lapack_svd(tall, compute_uv):
@@ -204,10 +221,16 @@ def svd(x, compute_uv=True):
         with compute_uv=False, the spectrum alone (numpy's convention).
     """
     x = check_matrix(x)
-    wide = x.shape[0] < x.shape[1]
+    (m, n), k = x.shape, min(x.shape)
+    wide = m < n
     tall = x.T if wide else x
+    scale = max(tall.max(), -tall.min())  # max|x|, without an |x| temporary
+    if scale == 0.0:
+        if not compute_uv:
+            return np.zeros(k)
+        return SvdFactors(u=np.eye(m, k), spectrum=np.zeros(k), v=np.eye(n, k))
     with _BLAS or nullcontext():
-        out = _gram_svd(tall, compute_uv)
+        out = _gram_svd(tall, scale, compute_uv)
         if out is None:
             out = _lapack_svd(tall, compute_uv)
     if not compute_uv:

@@ -6,8 +6,10 @@ and never call the breakpoint or block-merging code they are checking.
 
 import numpy as np
 
-from rankrelax.linalg import check_matrix, svd
+from rankrelax._blockmax import peak_below
+from rankrelax.linalg import check_matrix, compose, svd
 from rankrelax.penalty import check_spectrum
+from rankrelax.proximal import prox_spectrum
 
 
 def envelope_terms(s_grid, sx, a, b):
@@ -66,3 +68,17 @@ def fenchel_conjugate(y, x0, w):
     sz = check_spectrum(svd(y / 2.0 + x0, compute_uv=False), w)
     r2 = np.maximum(sz - w.a, 0.0) ** 2
     return float(np.sum(r2) - np.sum(x0**2) - np.sum(np.minimum(w.b, r2)))
+
+
+def two_factor_prox(f, w, tau):
+    """prox_Rh at the matrix whose SVD is f, mapped back through both of
+    its factors: (u diag(sx) v^T, sx).
+
+    The prox spectrum comes from prox_spectrum, and sx from it as
+    prox_Rh computes it, since at tau near 1 the map back amplifies the
+    last bit of (rho+1)*s by 1/rho; only the map back is independent.
+    """
+    rho = tau - 1.0
+    s = f.spectrum
+    sx = (peak_below(s, (rho + 1.0) / rho) - prox_spectrum(s, w, rho)) / rho
+    return compose(f.u, sx, f.v), sx

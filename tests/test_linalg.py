@@ -157,8 +157,8 @@ def test_svd_properties_across_shapes_and_scales(shape, log_kappa, rank, exponen
             results.append(svd(x, compute_uv=compute_uv))
         routines = [name for name, _, _ in calls]
         if not np.any(x):
-            # a zero matrix goes straight to LAPACK
-            assert routines == ["svd"]
+            # a zero matrix calls no LAPACK routine
+            assert routines == []
             continue
         lam = calls[0][2][0] if compute_uv else calls[0][2]
         # the Gram route is taken exactly when its certificate holds

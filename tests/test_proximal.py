@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankrelax
 from rankrelax import (
@@ -12,7 +16,7 @@ from rankrelax import (
     svd,
 )
 
-from oracles import monotone_grid_best, prox_terms
+from oracles import monotone_grid_best, prox_terms, two_factor_prox
 
 
 def prox_two(m, x0, w, rho):
@@ -287,3 +291,56 @@ class TestProxRh:
             prox_Rh(n, w, strength)
         with pytest.raises(ValueError):
             prox_spectrum(np.array([1.0, 0.5]), w, strength)
+
+
+# 1 x n, n x 1, square, small random, and the study's wide and tall shapes
+SHAPES = st.one_of(
+    st.sampled_from([(32, 512), (512, 32)]),
+    st.integers(1, 12).flatmap(lambda n: st.sampled_from([(1, n), (n, 1), (n, n)])),
+    st.tuples(st.integers(1, 12), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=SHAPES,
+    log_kappa=st.floats(0.0, 12.0),
+    zero_lines=st.integers(0, 12),
+    exponent=st.integers(-100, 100),
+    log_rho=st.floats(-6.0, math.log10(99.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_short_side_map_back_matches_two_factors(
+    shape, log_kappa, zero_lines, exponent, log_rho, seed
+):
+    """prox_Rh's (q diag(r) q^T) product against u diag(sx) v^T on the same
+    SVD, on the Gram route and on LAPACK's."""
+    rng = np.random.default_rng(seed)
+    k = min(shape)
+    s = 10.0 ** -np.sort(np.r_[0.0, log_kappa, rng.uniform(0.0, log_kappa, max(k - 2, 0))])[:k]
+    q1, _ = np.linalg.qr(rng.standard_normal((shape[0], k)))
+    q2, _ = np.linalg.qr(rng.standard_normal((shape[1], k)))
+    n = (q1 * s) @ q2.T
+    # zero lines along the short side give LAPACK exact zero singular values
+    if shape[0] <= shape[1]:
+        n[k - min(zero_lines, k) :, :] = 0.0
+    else:
+        n[:, k - min(zero_lines, k) :] = 0.0
+    scale = 10.0**exponent
+    n *= scale
+    a = scale * np.sort(rng.uniform(0.0, 1.0, k)) * rng.choice([0.0, 1.0])
+    b = scale**2 * np.sort(rng.uniform(0.0, 1.0, k)) * rng.choice([0.0, 0.1, 1.0, 4.0])
+    b[rng.integers(0, k + 1) if rng.random() < 0.3 else k :] = np.inf
+    w = make_weights(a, b)
+    tau = 1.0 + 10.0**log_rho
+    gram = linalg._GRAM_MIN_RATIO
+    for ratio in (gram, math.inf):
+        linalg._GRAM_MIN_RATIO = ratio
+        try:
+            x = prox_Rh(n, w, tau)
+            f = svd(n)
+        finally:
+            linalg._GRAM_MIN_RATIO = gram
+        expected, sx = two_factor_prox(f, w, tau)
+        assert np.all(sx[f.spectrum == 0.0] == 0.0)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(n))
