@@ -50,6 +50,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.rows, self.cols, self.rank)):
+            raise ValueError("rows, cols and rank must be integers")
         if self.rank < 1 or self.rank > min(self.rows, self.cols):
             raise ValueError("rank must be in [1, min(rows, cols)]")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -58,8 +60,8 @@ class ExperimentSpec:
             raise ValueError("pattern must be 'uniform' or 'tracking'")
         if any(not 0 <= f < 1 for f in self.missing_fractions):
             raise ValueError("missing fractions must lie in [0, 1)")
-        if self.instances < 1:
-            raise ValueError("instances must be positive")
+        if not isinstance(self.instances, (int, np.integer)) or self.instances < 1:
+            raise ValueError("instances must be a positive integer")
         if any(not (math.isfinite(mu) and mu > 0) for mu in self.mu_grid):
             raise ValueError("mu grid entries must be positive and finite")
 

@@ -12,6 +12,7 @@ quadratic beyond it, so its per-index maximizer (the family's closed
 form at c = 1) is a_i + max(sx_i, sqrt(b_i)) when sx_i > 0, and 0 when
 sx_i = 0, where the term is flat up to the breakpoint and the left end
 is taken. Block maximizations are exact, and R_h(0) = 0 exactly.
+`envelope_value` sums the terms at a maximizer z; the prox passes its own.
 
 An infinite b_i (a hard rank cap) is exact, used as it is. When every
 b_i is infinite (a rank-0 constraint) the objective grows without bound
@@ -39,12 +40,16 @@ def maximizing_spectrum(sx, w):
     return monotone_argmax(sx, w, 1.0)
 
 
+def envelope_value(sx, z, w):
+    """The envelope objective at sx, summed at z; R_h(sx) when z maximizes it.
+    z^2 - (sx - z)^2 is summed as sx*(2z - sx): no cancellation, 0 at sx = 0."""
+    r2 = np.maximum(z - w.a, 0.0) ** 2
+    return float(np.sum(np.minimum(w.b, r2) - r2 + sx * (2.0 * z - sx)))
+
+
 def eval_Rh(sx, w):
     """Envelope value at a given spectrum."""
     sx = check_spectrum(sx, w)
     if np.isinf(w.b[0]):
         return np.inf if sx.any() else 0.0
-    z = maximizing_spectrum(sx, w)
-    r2 = np.maximum(z - w.a, 0.0) ** 2
-    terms = np.minimum(w.b, r2) + z**2 - (sx - z) ** 2 - r2
-    return float(np.sum(terms))
+    return envelope_value(sx, maximizing_spectrum(sx, w), w)

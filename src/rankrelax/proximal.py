@@ -18,7 +18,8 @@ p x p x max(m, n) product, where the two factors would take two of the
 latter. The rule r_i = 0 drops nothing, since x_i is exactly 0 where
 s_i = 0: such an index starts PAV at its peak below, 0, and comes after
 every positive s_i, so no merge moves it. Since z >= 0,
-r <= (rho+1)/rho.
+r <= (rho+1)/rho. At the saddle point z also maximizes the envelope
+objective at x, so `_prox_with_value` reads R_h(x) off z, in O(k).
 """
 
 import math
@@ -26,6 +27,7 @@ import math
 import numpy as np
 
 from ._blockmax import monotone_argmax, peak_below
+from .envelope import envelope_value
 from .linalg import compose, svd
 from .penalty import check_spectrum
 
@@ -45,12 +47,14 @@ def prox_Rh(n, w, tau):
     """argmin_X of the relaxed penalty plus tau * ||X - n||_F^2, tau > 1.
 
     Below strength 1 the subproblem can be non-convex, so tau must exceed
-    1, and be finite. With rho = tau - 1 it is solved spectrally: take
-    the SVD of n, run the prox block maximization on its spectrum s, and
-    map back through x = ((rho+1)*s - sigma(z)) / rho on the same
-    factors, from the short side (see the module docstring). `svd`
-    validates n.
+    1, and be finite. With rho = tau - 1 it is solved spectrally, on the
+    SVD of n, as the module docstring sets out; `svd` validates n.
     """
+    return _prox_with_value(n, w, tau)[0]
+
+
+def _prox_with_value(n, w, tau):
+    """prox_Rh's output X and R_h(X), read off the prox's maximizer."""
     if not 1.0 < tau < math.inf:
         raise ValueError("prox strength tau must exceed 1 and be finite")
     rho = tau - 1.0
@@ -65,4 +69,4 @@ def prox_Rh(n, w, tau):
     wide = n.shape[0] < n.shape[1]
     q = f.u if wide else f.v
     p = compose(q, r, q)
-    return p @ n if wide else n @ p
+    return (p @ n if wide else n @ p), envelope_value(sx, sz, w)

@@ -4,9 +4,9 @@ Minimizes  R_h(sing(X)) + ||W . (X - M)||_F^2  by splitting the penalty
 and the data term: the X-update is the spectral prox, the Y-update has
 an elementwise closed form, and the scaled dual accumulates the gap.
 
-The primal residual is tested on every iteration. The objective costs a
-full SVD and a PAV pass, so it is evaluated only where the stall test
-uses it, once per _STALL_WINDOW iterations, plus once at exit.
+The primal residual is tested on every iteration and the stall of
+F(X_k), read off the prox's own R_h(X_k), once per _STALL_WINDOW
+iterations. The objective of the returned Y is evaluated once, at exit.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 
 from .envelope import eval_Rh
 from .linalg import check_matrix, svd
-from .proximal import prox_Rh
+from .proximal import _prox_with_value as prox_Rh  # (X, R_h(X)); benchmarks/tracing.py wraps it
 
 __all__ = [
     "MaskedObservations",
@@ -27,8 +27,7 @@ __all__ = [
     "admm_complete",
 ]
 
-# the objective is evaluated, and its relative stall tested, once per
-# this many iterations
+# F(X_k) is recorded and its relative stall tested once per this many iterations
 _STALL_WINDOW = 10
 
 
@@ -58,8 +57,8 @@ class AdmmConfig:
     def __post_init__(self):
         if not 1.0 < self.rho < math.inf:
             raise ValueError("rho must exceed 1 (prox subproblem convexity) and be finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError("max_iters must be a positive integer")
         if not all(0.0 < tol < math.inf for tol in (self.primal_tol, self.rel_obj_tol)):
             raise ValueError("tolerances must be positive and finite")
 
@@ -68,10 +67,10 @@ class AdmmConfig:
 class AdmmDiagnostics:
     """Why and when a solve stopped, with its traces.
 
-    objective_trace holds the objective of Y at iterations _STALL_WINDOW,
-    2*_STALL_WINDOW, ... and, last, at exit (one entry, not two, when the
-    solve stops on a window boundary), so it has ceil(iterations /
-    _STALL_WINDOW) entries. The residual traces have one entry per
+    objective_trace holds F(X_k), the objective of the prox iterate, at
+    iterations k = _STALL_WINDOW, 2*_STALL_WINDOW, ..., and last the
+    objective of the returned Y, so it has floor(iterations /
+    _STALL_WINDOW) + 1 entries. The residual traces have one entry per
     iteration: primal ||X_k - Y_k||_F and dual rho*||Y_k - Y_{k-1}||_F.
     stop_reason is "primal", "stall" or "cap".
     """
@@ -93,22 +92,25 @@ def data_update(t, obs, rho):
     return (rho * t + obs.w * obs.m) / (rho + obs.w)
 
 
+def _masked_fit(x, obs):
+    return float(np.sum((obs.w * (x - obs.m)) ** 2))
+
+
 def solve_objective(x, obs, w):
     """Relaxed completion objective: envelope penalty plus masked datafit."""
     x = check_matrix(x, obs.m.shape)
-    return eval_Rh(svd(x, compute_uv=False), w) + float(np.sum((obs.w * (x - obs.m)) ** 2))
+    return eval_Rh(svd(x, compute_uv=False), w) + _masked_fit(x, obs)
 
 
 def admm_complete(obs, w, cfg=None):
     """Run ADMM on the masked completion problem.
 
     Stops when the primal residual reaches cfg.primal_tol (tested every
-    iteration), when the objective moves by at most cfg.rel_obj_tol
-    (relative) between two consecutive window checkpoints (tested every
+    iteration), when F(X_k) moves by at most cfg.rel_obj_tol (relative)
+    between two consecutive window checkpoints (tested every
     _STALL_WINDOW iterations), or at cfg.max_iters. Returns the
-    data-consistent iterate Y and its AdmmDiagnostics; the last
-    objective_trace entry is the objective of the returned Y.
-    Initialization is X = Y = dual = 0, so runs are deterministic.
+    data-consistent iterate Y and its AdmmDiagnostics. Initialization
+    is X = Y = dual = 0, so runs are deterministic.
     """
     if cfg is None:
         cfg = AdmmConfig()
@@ -117,10 +119,9 @@ def admm_complete(obs, w, cfg=None):
     lam = np.zeros(shape)
     diag = AdmmDiagnostics(stop_reason="cap")
     trace = diag.objective_trace
-    evaluated_at = 0
     for it in range(1, cfg.max_iters + 1):
         y_prev = y
-        x = prox_Rh(y - lam, w, cfg.rho)
+        x, penalty = prox_Rh(y - lam, w, cfg.rho)
         y = data_update(x + lam, obs, cfg.rho)
         lam = lam + x - y
         residual = float(np.linalg.norm(x - y))
@@ -131,14 +132,12 @@ def admm_complete(obs, w, cfg=None):
             diag.stop_reason = "primal"
             break
         if it % _STALL_WINDOW == 0:
-            objective = solve_objective(y, obs, w)
+            objective = penalty + _masked_fit(x, obs)
             trace.append(objective)
-            evaluated_at = it
             if len(trace) > 1 and abs(objective - trace[-2]) <= cfg.rel_obj_tol * (
                 1.0 + abs(objective)
             ):
                 diag.stop_reason = "stall"
                 break
-    if evaluated_at != diag.iterations:
-        trace.append(solve_objective(y, obs, w))
+    trace.append(solve_objective(y, obs, w))
     return y, diag

@@ -1,8 +1,10 @@
 """Reference ADMM loop that evaluates the objective on every iteration.
 
 Kept to check the solver's windowed objective against: the iterate
-updates are the solver's, and the stall test compares the objective at
-iteration n with the one at n - 10 for every n > 10.
+updates are the solver's, the objective F(X_n) of each prox iterate is
+evaluated independently (an SVD and an envelope PAV of X_n, where the
+solver reads R_h(X_n) off the prox), and the stall test compares the
+objective at iteration n with the one at n - 10 for every n > 10.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +37,7 @@ def admm_every_iteration(obs, w, cfg):
         run.y = data_update(x + lam, obs, cfg.rho)
         lam = lam + x - run.y
         residual = float(np.linalg.norm(x - run.y))
-        objective = solve_objective(run.y, obs, w)
+        objective = solve_objective(x, obs, w)
         run.objective_trace.append(objective)
         run.iterations = it + 1
         if residual <= cfg.primal_tol:

@@ -22,6 +22,17 @@ from rankrelax import (
 )
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_benchmark_module(name):
+    """A module of benchmarks/, which is not a package, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def tiny_spec(**kw):
     base = dict(
         rows=8,
@@ -54,6 +65,15 @@ class TestExperimentSpec:
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError):
             ExperimentSpec(pattern="checkerboard")
+
+    @pytest.mark.parametrize("field", ["rows", "cols", "rank", "instances"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_rejects_non_integer_counts(self, field, offset):
+        # a float count, integral or not, fails only later, in numpy
+        value = getattr(ExperimentSpec(), field)
+        with pytest.raises(ValueError):
+            ExperimentSpec(**{field: value + offset})
+        assert getattr(ExperimentSpec(**{field: np.int64(value)}), field) == value
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_noise_sigma(self, value):
@@ -259,13 +279,8 @@ class TestTracedLayers:
     around one fails here instead of reading as a zero in the benchmark."""
 
     def test_each_traced_layer_is_called(self):
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "tracing", root / "benchmarks" / "tracing.py"
-        )
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        metrics = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+        tracing = load_benchmark_module("tracing")
+        metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
         spans = {
             m["name"].rsplit(".", 1)[0]
             for m in metrics
@@ -282,3 +297,18 @@ class TestTracedLayers:
             solver.admm_complete(obs, instance_weights(m, 3.0), cfg)
         calls = {name: row[0] for name, row in tracer.layers().items()}
         assert {name: calls.get(name, 0) for name in spans if calls.get(name, 0) == 0} == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: at the 300-iteration cap both mu solves of this 60%-missing "
+    "unit miss the check's limit (best distance 0.0749 and 0.0753 against 0.0699); "
+    "the change that makes them pass flips this test",
+)
+@pytest.mark.parametrize("seed, unit", [(4, 140), (5, 152)])
+def test_study_uniform_capped_units_pass_their_check(seed, unit):
+    """The study_uniform units that a fast enough 50 s run reaches and fails."""
+    workloads = load_benchmark_module("workloads")
+    ops = workloads.StudyUniform(seed, "full").unit(unit)
+    assert ops and all(op.ok for op in ops)

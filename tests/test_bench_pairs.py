@@ -27,6 +27,9 @@ def test_two_alternating_pairs(tmp_path):
     for pair in pairs:
         for side in ("parent", "change"):
             assert pair[side]["correct"] and pair[side]["failed"] == 0
+            assert pair[side]["attempted"] >= 1
+    assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert "failed share: parent 0.0, change 0.0\n" in proc.stdout
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     assert list(entry["summary"]) == names
     for name in names:

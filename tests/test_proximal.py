@@ -10,11 +10,13 @@ from rankrelax import (
     eval_Rh,
     linalg,
     make_weights,
+    maximizing_spectrum,
     prox_Rh,
     prox_spectrum,
     shrink_spectrum,
     svd,
 )
+from rankrelax.proximal import _prox_with_value
 
 from oracles import monotone_grid_best, prox_terms, two_factor_prox
 
@@ -344,3 +346,40 @@ def test_short_side_map_back_matches_two_factors(
         expected, sx = two_factor_prox(f, w, tau)
         assert np.all(sx[f.spectrum == 0.0] == 0.0)
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(
+        st.integers(1, 12).flatmap(lambda n: st.sampled_from([(1, n), (n, 1)])),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ),
+    exponent=st.floats(-8.0, 8.0),
+    log_rho=st.floats(-6.0, math.log10(99.0)),
+    finite=st.one_of(st.none(), st.integers(0, 8)),
+    zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prox_value_is_envelope_at_output(shape, exponent, log_rho, finite, zero, seed):
+    """The R_h(X) the prox reads off its own maximizer equals eval_Rh on an
+    SVD of its output X, within 1e-13 of the magnitude of the terms."""
+    rng = np.random.default_rng(seed)
+    k = min(shape)
+    scale = 10.0**exponent
+    n = np.zeros(shape) if zero else scale * rng.standard_normal(shape)
+    a = scale * np.sort(rng.uniform(0.0, 1.0, k)) * rng.choice([0.0, 1.0])
+    b = scale**2 * np.sort(rng.uniform(0.0, 1.0, k)) * rng.choice([0.0, 0.1, 1.0, 4.0])
+    b[k if finite is None else min(finite, k) :] = np.inf  # 0 finite: every b_i infinite
+    w = make_weights(a, b)
+    x, value = _prox_with_value(n, w, 1.0 + 10.0**log_rho)
+    assert np.array_equal(x, prox_Rh(n, w, 1.0 + 10.0**log_rho))
+    sx = svd(x, compute_uv=False)
+    expected = eval_Rh(sx, w)
+    if np.isinf(b[0]) or zero:
+        # rank 0, or a zero input: the prox returns 0, where R_h is 0
+        assert value == expected == 0.0 and not x.any()
+        return
+    z = maximizing_spectrum(sx, w)
+    r2 = np.maximum(z - a, 0.0) ** 2
+    magnitude = np.sum(np.minimum(b, r2) + r2 + np.abs(sx * (2.0 * z - sx)))
+    assert abs(value - expected) <= 1e-13 * magnitude

@@ -8,7 +8,11 @@ seed, alternately: the first pair runs the parent first, and the order
 flips on every pair, so machine drift does not favour one side. Each run
 is a fresh process. Prints, per end-to-end metric that BENCHMARK.json
 names, each side's median and quartiles and how many pairs the change
-won (ties count for neither), plus each run's `correct` and `failed`.
+won (ties count for neither), plus each run's `correct`, `attempted`
+and `failed`, and each side's failed share: its failed operations over
+its attempted ones, pooled over its runs. A change whose share exceeds
+the parent's is flagged `CHANGE FAILS MORE`, since the benchmark rejects
+it.
 
 A gain holds, by the benchmark's rule, when the change wins at least
 nine tenths of the pairs and the medians differ by more than the
@@ -54,11 +58,12 @@ def run_side(checkout, args, seed):
     try:
         summary = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        summary = {"correct": False, "failed": None, "metrics": {}}
+        summary = {"correct": False, "attempted": None, "failed": None, "metrics": {}}
     return {
         "seed": seed,
         "exit": proc.returncode,
         "correct": summary["correct"] and proc.returncode == 0,
+        "attempted": summary["attempted"],
         "failed": summary["failed"],
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
         "stderr_tail": proc.stderr.strip().splitlines()[-3:] if proc.returncode else [],
@@ -70,6 +75,12 @@ def quartiles(values):
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def failed_share(runs):
+    """Failed over attempted operations, pooled over the runs that reported."""
+    runs = [r for r in runs if r["attempted"]]
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs) if runs else None
 
 
 def compare(pairs, metric):
@@ -120,8 +131,8 @@ def main(argv=None):
             pair[side], run_env = run_side(sides[side], args, seed)
             env = run_env or env
             r = pair[side]
-            print("pair %d seed %d %-6s correct=%s failed=%s %s" % (
-                i + 1, seed, side, r["correct"], r["failed"],
+            print("pair %d seed %d %-6s correct=%s attempted=%s failed=%s %s" % (
+                i + 1, seed, side, r["correct"], r["attempted"], r["failed"],
                 " ".join("%s=%.6g" % (n, v) for n, v in r["metrics"].items() if v is not None)),
                 flush=True)
         pairs.append(pair)
@@ -138,6 +149,10 @@ def main(argv=None):
             name, p["median"], p["q1"], p["q3"], ch["median"], ch["q1"], ch["q3"],
             c["ratio"] or float("nan"), c["change_wins"], c["pairs"],
             "  gain" if c["gain"] else "", "  WORSE THAN BOUND" if c["worse_than_bound"] else ""))
+    shares = {side: failed_share([p[side] for p in pairs]) for side in sides}
+    print("failed share: parent %s, change %s%s" % (
+        shares["parent"], shares["change"],
+        "  CHANGE FAILS MORE" if (shares["change"] or 0) > (shares["parent"] or 0) else ""))
 
     report = json.loads(args.out.read_text()) if args.out.is_file() else {}
     report["environment"] = {
@@ -149,7 +164,7 @@ def main(argv=None):
     report.setdefault("workloads", {})[args.workload] = {
         "seeds": args.seeds, "seconds": args.seconds, "scale": args.scale,
         "sides": {side: path.name for side, path in sides.items()},
-        "summary": summary, "pairs": pairs,
+        "summary": summary, "failed_share": shares, "pairs": pairs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 
