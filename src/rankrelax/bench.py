@@ -110,6 +110,15 @@ def mask_tracking(rows, cols, fraction, seed):
     frame window. Window lengths are drawn around the target mean, then
     adjusted so the total observed count matches the target exactly;
     every column keeps at least one observation.
+
+    The random stream is fixed: `cols` normal draws for the lengths;
+    then one `integers(cols)` draw per rebalance step, which picks a
+    column and moves its length one towards the target unless that
+    would leave [1, rows] (the step is still taken); then one
+    `integers(rows - length + 1)` draw per column, in column order, for
+    the window's start. The draws are made in whole-array calls, which
+    numpy serves element by element from the same stream as one scalar
+    call each, so the mask is that of the one-draw-at-a-time loop.
     """
     if not 0 <= fraction < 1:
         raise ValueError("fraction must lie in [0, 1)")
@@ -121,21 +130,30 @@ def mask_tracking(rows, cols, fraction, seed):
     lengths = np.clip(
         np.rint(rng.normal(mean_len, rows / 6.0, size=cols)).astype(int), 1, rows
     )
-    # rebalance draws to hit the target count exactly
-    diff = target - int(lengths.sum())
+    # rebalance to hit the target count exactly. Steps are drawn in
+    # batches of at least cols, since steps that land on a column at its
+    # bound would otherwise shrink the batches to single draws; where the
+    # target is reached inside a batch, the stream is rewound and only
+    # the steps taken are drawn again
+    sizes = lengths.tolist()
+    diff = target - sum(sizes)
+    step = 1 if diff > 0 else -1
     while diff != 0:
-        j = int(rng.integers(cols))
-        if diff > 0 and lengths[j] < rows:
-            lengths[j] += 1
-            diff -= 1
-        elif diff < 0 and lengths[j] > 1:
-            lengths[j] -= 1
-            diff += 1
-    mask = np.zeros((rows, cols))
-    for j in range(cols):
-        start = int(rng.integers(rows - lengths[j] + 1))
-        mask[start : start + lengths[j], j] = 1.0
-    return mask
+        state = rng.bit_generator.state
+        batch = rng.integers(cols, size=max(abs(diff), cols)).tolist()
+        for taken, j in enumerate(batch, 1):
+            if 1 <= sizes[j] + step <= rows:
+                sizes[j] += step
+                diff -= step
+                if diff == 0:
+                    break
+        if taken < len(batch):
+            rng.bit_generator.state = state
+            rng.integers(cols, size=taken)
+    lengths = np.array(sizes)
+    starts = rng.integers(rows - lengths + 1)
+    frames = np.arange(rows)[:, None]
+    return ((frames >= starts) & (frames < starts + lengths)).astype(float)
 
 
 def normalized_distance(x, m0):

@@ -54,8 +54,9 @@ from the factors.
 
 The OpenBLAS thread controls are found once, at import, in the library
 numpy has already loaded (on Linux, the `openblas` entry of
-/proc/self/maps). Where none is found (MKL, Accelerate, non-Linux),
-the scope does nothing.
+/proc/self/maps), under the names of numpy 2's wheels, of numpy 1's
+wheels or of a plain OpenBLAS. Where none is found (MKL, Accelerate,
+non-Linux), the scope does nothing.
 """
 
 import ctypes
@@ -66,10 +67,13 @@ import numpy as np
 
 __all__ = ["SvdFactors", "svd", "compose", "check_matrix"]
 
-# (get, set) symbol pairs, in the order tried: numpy's own wheel
-# (scipy-openblas, 64-bit integer build), then a plain OpenBLAS.
+# (get, set) symbol pairs, in the order tried: numpy 2's wheel
+# (scipy-openblas, 64-bit integer build), numpy 1's wheel (OpenBLAS's
+# own 64-bit integer build, whose symbols carry the suffix 64_), then a
+# plain OpenBLAS.
 _THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
@@ -136,21 +140,27 @@ class _OneBlasThread:
                 self.set(self._saved)
 
 
-def _find_openblas():
-    """A _OneBlasThread for the OpenBLAS this process loaded, or None."""
+def _loaded_openblas():
+    """The OpenBLAS libraries this process loaded, as ctypes handles."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted(
                 {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
             )
     except OSError:
-        return None
+        return []
     libs = []
     for path in paths:
         try:
             libs.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return libs
+
+
+def _find_openblas(libs):
+    """A _OneBlasThread for the first _THREAD_SYMBOLS pair that one of
+    libs exports, or None."""
     for get_name, set_name in _THREAD_SYMBOLS:
         for lib in libs:
             try:
@@ -163,7 +173,7 @@ def _find_openblas():
     return None
 
 
-_BLAS = _find_openblas()
+_BLAS = _find_openblas(_loaded_openblas())
 
 
 def check_matrix(x, shape=None):

@@ -82,3 +82,55 @@ def two_factor_prox(f, w, tau):
     s = f.spectrum
     sx = (peak_below(s, (rho + 1.0) / rho) - prox_spectrum(s, w, rho)) / rho
     return compose(f.u, sx, f.v), sx
+
+
+def mask_tracking_loop(rows, cols, fraction, seed):
+    """bench.mask_tracking as one random draw at a time: the reference
+    whose mask the whole-array version must reproduce byte for byte."""
+    if not 0 <= fraction < 1:
+        raise ValueError("fraction must lie in [0, 1)")
+    target = int(round((1.0 - fraction) * rows * cols))
+    if target < cols:
+        raise ValueError("missing fraction too high: a column would be empty")
+    rng = np.random.default_rng(seed)
+    mean_len = target / cols
+    lengths = np.clip(
+        np.rint(rng.normal(mean_len, rows / 6.0, size=cols)).astype(int), 1, rows
+    )
+    # rebalance draws to hit the target count exactly
+    diff = target - int(lengths.sum())
+    while diff != 0:
+        j = int(rng.integers(cols))
+        if diff > 0 and lengths[j] < rows:
+            lengths[j] += 1
+            diff -= 1
+        elif diff < 0 and lengths[j] > 1:
+            lengths[j] -= 1
+            diff += 1
+    mask = np.zeros((rows, cols))
+    for j in range(cols):
+        start = int(rng.integers(rows - lengths[j] + 1))
+        mask[start : start + lengths[j], j] = 1.0
+    return mask
+
+
+def nuclear_gap(x, obs, mu):
+    """Relative duality gap (F(X) - D(L)) / F(X) of masked nuclear-norm
+    completion, F(X) = mu*||X||_* + ||W.(X - M)||_F^2: the solver's
+    objective under the "nuclear" preset (a_i = mu/2, b_i = 0).
+
+    For a binary W, D(L) = -<L, W.M> - ||L||_F^2 / 4 <= min F for every L
+    supported on W with ||L||_2 <= mu. The dual point is L = 2 W.(X - M),
+    scaled by min(1, mu / ||L||_2), so the gap is >= 0 for every X and 0
+    exactly at the minimizer, where no scaling is needed (the subgradient
+    condition of Mazumder, Hastie & Tibshirani 2010). A zero F(X), where
+    the gap is zero too, returns the absolute gap.
+    """
+    x = check_matrix(x, obs.m.shape)
+    lam = 2.0 * obs.w * (x - obs.m)
+    f = mu * np.linalg.svd(x, compute_uv=False).sum() + np.sum(lam**2) / 4.0
+    norm = np.linalg.norm(lam, 2)
+    if norm > mu:
+        lam *= mu / norm
+    d = -np.sum(lam * obs.w * obs.m) - np.sum(lam**2) / 4.0
+    return (f - d) / f if f > 0 else f - d

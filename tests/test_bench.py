@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankrelax import bench, solver
 from rankrelax import (
@@ -20,6 +22,8 @@ from rankrelax import (
     svd,
     write_results_csv,
 )
+
+from oracles import mask_tracking_loop
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -153,6 +157,50 @@ class TestMaskTracking:
             mask_tracking(16, 20, 0.3, 9), mask_tracking(16, 20, 0.3, 9)
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 160),
+        cols=st.integers(1, 700),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(rows=128, cols=2048, share=0.3 / (1 - 0.5 / 128), seed=7)
+    @example(rows=2, cols=700, share=0.0, seed=1)
+    @example(rows=1, cols=5, share=0.0, seed=0)
+    def test_byte_identical_to_one_draw_at_a_time(self, rows, cols, share, seed):
+        # fractions up to half a row past the empty-column limit 1 - 1/rows,
+        # so both sides of the ValueError are drawn
+        fraction = share * (1.0 - 0.5 / rows)
+        try:
+            expected = mask_tracking_loop(rows, cols, fraction, seed)
+        except ValueError:
+            with pytest.raises(ValueError):
+                mask_tracking(rows, cols, fraction, seed)
+            return
+        mask = mask_tracking(rows, cols, fraction, seed)
+        assert (mask.shape, mask.dtype) == (expected.shape, expected.dtype)
+        assert mask.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        highs=st.lists(st.integers(1, 2**40), min_size=1, max_size=50),
+        lead=st.integers(0, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_array_draws_follow_scalar_draws(self, highs, lead, seed):
+        """The premise of mask_tracking's whole-array calls: an array
+        `high`, or a `size`, draws element by element from the stream that
+        one scalar call per element reads, leaving the same state. An odd
+        `lead` of 32-bit draws first leaves half a 64-bit word buffered."""
+        whole, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (whole, single):
+            rng.integers(3, size=lead)
+        drawn = whole.integers(np.array(highs))
+        assert drawn.tolist() == [int(single.integers(h)) for h in highs]
+        drawn = whole.integers(highs[0], size=len(highs))
+        assert drawn.tolist() == [int(single.integers(highs[0])) for _ in highs]
+        assert whole.bit_generator.state == single.bit_generator.state
+
 
 class TestMetrics:
     def test_distance_at_truth(self):
@@ -252,6 +300,15 @@ class TestRunSweep:
         cfg = AdmmConfig(rho=1.5, max_iters=40, primal_tol=1e-5, rel_obj_tol=1e-8)
         records = run_sweep(spec, cfg)
         assert records[0].pattern == "tracking"
+
+    def test_tracking_records_equal_with_the_reference_masks(self, monkeypatch):
+        spec = tiny_spec(pattern="tracking", missing_fractions=(0.0, 0.3, 0.6), mu_grid=(0.3, 3.0))
+        cfg = AdmmConfig(rho=1.5, max_iters=40, primal_tol=1e-5, rel_obj_tol=1e-8)
+        records = run_sweep(spec, cfg)
+        monkeypatch.setattr(bench, "mask_tracking", mask_tracking_loop)
+        reference = run_sweep(spec, cfg)
+        assert records == reference
+        assert [r.best for r in records] == [r.best for r in reference]
 
 
 class TestWriteResultsCsv:

@@ -1,5 +1,5 @@
 """tools/bench_pairs.py, run end to end at tiny scale with the repository
-as both sides."""
+as both sides, with one traced run per side."""
 
 import json
 import subprocess
@@ -14,7 +14,7 @@ def test_two_alternating_pairs(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--parent", str(ROOT),
          "--change", str(ROOT), "--workload", "wide_tracking", "--seeds", "1-2",
-         "--seconds", "0.3", "--scale", "tiny", "--out", str(out)],
+         "--seconds", "0.3", "--scale", "tiny", "--trace", "--out", str(out)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -30,10 +30,22 @@ def test_two_alternating_pairs(tmp_path):
             assert pair[side]["attempted"] >= 1
     assert entry["failed_share"] == {"parent": 0.0, "change": 0.0}
     assert "failed share: parent 0.0, change 0.0\n" in proc.stdout
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    named = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in named["end_to_end"]]
     assert list(entry["summary"]) == names
     for name in names:
         s = entry["summary"][name]
         assert s["pairs"] == 2 and 0 <= s["change_wins"] <= 2
         assert s["parent"]["q1"] <= s["parent"]["median"] <= s["parent"]["q3"]
         assert name in proc.stdout
+    traced = entry["trace"]
+    assert traced["seed"] == 1
+    layers = [m["name"] for m in named["per_layer"]]
+    for side in ("parent", "change"):
+        assert traced[side]["correct"] and traced[side]["failed"] == 0
+        assert list(traced[side]["metrics"]) == layers
+    iterations = [traced[side]["metrics"]["solver.iterations"] for side in ("parent", "change")]
+    assert iterations[0] == iterations[1] > 0
+    table = proc.stdout.split("per-layer, one --trace 1 run per side at seed 1\n", 1)[1]
+    for name in layers:
+        assert "\n" + name + " " in table

@@ -1,6 +1,7 @@
 import sys
 import threading
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,7 +191,25 @@ def test_no_thread_controls_without_process_maps(monkeypatch):
         raise FileNotFoundError("/proc/self/maps")
 
     monkeypatch.setattr(linalg, "open", missing, raising=False)
-    assert linalg._find_openblas() is None
+    assert linalg._loaded_openblas() == []
+    assert linalg._find_openblas([]) is None
+
+
+def test_thread_controls_of_a_numpy_1_wheel():
+    """numpy 1.x wheels bundle an OpenBLAS whose symbols all end in 64_."""
+    threads = [4]
+
+    def get():
+        return threads[0]
+
+    def set_(n):
+        threads[0] = n
+
+    wheel = SimpleNamespace(openblas_get_num_threads64_=get, openblas_set_num_threads64_=set_)
+    scope = linalg._find_openblas([SimpleNamespace(), wheel])
+    with scope:
+        assert threads == [1]
+    assert threads == [4]
 
 
 needs_openblas = pytest.mark.skipif(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankrelax import (
     AdmmConfig,
@@ -19,6 +21,7 @@ from rankrelax import (
     svd,
 )
 
+from oracles import nuclear_gap
 from reference_admm import admm_every_iteration, stalled
 
 
@@ -224,6 +227,48 @@ class TestAdmmComplete:
         y2, d2 = admm_complete(obs, w, AdmmConfig(max_iters=300))
         assert np.array_equal(y1, y2)
         assert d1.objective_trace == d2.objective_trace
+
+
+class TestNuclearGap:
+    """ADMM's answer certified by the duality gap of the convex case, the
+    masked nuclear norm (ROADMAP item 12)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 7),
+        cols=st.integers(1, 7),
+        log_mu=st.floats(-2.0, 2.0),
+        log_scale=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gap_is_never_negative(self, rows, cols, log_mu, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        m = scale * rng.standard_normal((rows, cols))
+        x = scale * rng.standard_normal((rows, cols)) * rng.uniform(0.0, 2.0)
+        mask = (rng.uniform(size=(rows, cols)) < 0.6).astype(float)
+        assert nuclear_gap(x, MaskedObservations(m, mask), 10.0**log_mu) >= -1e-12
+
+    def test_gap_vanishes_at_the_full_mask_optimum(self):
+        m = np.random.default_rng(4).standard_normal((5, 6))
+        f = svd(m)
+        for mu in (0.3, 1.2, 4.0):
+            x = f.u @ np.diag(np.maximum(f.spectrum - mu / 2.0, 0.0)) @ f.v.T
+            assert abs(nuclear_gap(x, full_mask_obs(m), mu)) <= 1e-12
+            assert nuclear_gap(1.01 * x, full_mask_obs(m), mu) > 1e-6
+
+    @pytest.mark.parametrize(
+        "rows, cols, fraction, mu, seed",
+        [(8, 24, 0.4, 1.0, 1), (8, 24, 0.6, 3.0, 2), (12, 30, 0.5, 0.3, 3), (6, 40, 0.3, 10.0, 4)],
+    )
+    def test_admm_stall_is_near_optimal(self, rows, cols, fraction, mu, seed):
+        spec = ExperimentSpec(rows=rows, cols=cols, rank=2, noise_sigma=0.1, seed=seed)
+        _, m = gen_instance(spec, 0)
+        obs = MaskedObservations(m, mask_uniform(rows, cols, fraction, seed))
+        cfg = AdmmConfig(rho=1.5, max_iters=20000, primal_tol=1e-15, rel_obj_tol=1e-15)
+        y, diag = admm_complete(obs, preset("nuclear", rows, mu=mu), cfg)
+        assert diag.stop_reason == "stall"
+        assert nuclear_gap(y, obs, mu) < 1e-7
 
 
 def small_masked_problem():

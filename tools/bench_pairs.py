@@ -1,7 +1,7 @@
 """A/B comparison of two checkouts on one benchmark workload.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seeds A-B --seconds S [--scale full|tiny] [--out FILE]
+        --seeds A-B --seconds S [--scale full|tiny] [--trace] [--out FILE]
 
 Runs each checkout's own benchmarks/run.py, one run per side for each
 seed, alternately: the first pair runs the parent first, and the order
@@ -19,6 +19,11 @@ nine tenths of the pairs and the medians differ by more than the
 parent's interquartile range; a metric is flagged when the change's
 median is worse than the parent's by more than its BENCHMARK.json
 bound.
+
+With --trace, each side then makes one `benchmarks/run.py --trace 1`
+run at the first seed, and each per-layer metric that BENCHMARK.json
+names is printed for both sides with the change's over the parent's
+ratio, to show in which layer a difference sits.
 
 The report, with the environment and the BLAS thread variables, is
 written to FILE (default BENCH.json at the repository root). Each
@@ -47,10 +52,11 @@ def seed_range(text):
     return list(range(lo, hi + 1))
 
 
-def run_side(checkout, args, seed):
+def run_side(checkout, args, seed, trace=False):
     """One benchmark run; its last stdout line is run.py's JSON summary."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", args.workload,
-           "--seed", str(seed), "--seconds", str(args.seconds), "--scale", args.scale]
+           "--seed", str(seed), "--seconds", str(args.seconds), "--scale", args.scale,
+           "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line.split(": ", 1)[1]) for line in lines
@@ -107,6 +113,24 @@ def compare(pairs, metric):
     }
 
 
+def trace_sides(sides, args, layers):
+    """One traced run per side at the first seed, printed per layer."""
+    seed = args.seeds[0]
+    runs = {side: run_side(path, args, seed, trace=True)[0] for side, path in sides.items()}
+    print("per-layer, one --trace 1 run per side at seed %d" % seed)
+    for side, r in runs.items():
+        print("  %-6s correct=%s attempted=%s failed=%s" % (
+            side, r["correct"], r["attempted"], r["failed"]))
+    print("%-40s %12s %12s %7s" % ("layer metric", "parent", "change", "ratio"))
+    for layer in layers:
+        name = layer["name"]
+        p, c = (runs[side]["metrics"].get(name) for side in ("parent", "change"))
+        ratio = c / p if p and c is not None else float("nan")
+        print("%-40s %12s %12s %7.3f" % (name, "n/a" if p is None else "%.6g" % p,
+                                         "n/a" if c is None else "%.6g" % c, ratio))
+    return {"seed": seed, **runs}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -115,13 +139,16 @@ def main(argv=None):
     ap.add_argument("--seeds", type=seed_range, required=True, help="A-B, inclusive")
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--scale", choices=("full", "tiny"), default="full")
+    ap.add_argument("--trace", action="store_true",
+                    help="also one traced run per side, for the per-layer metrics")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH.json")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for checkout in sides.values():
         if not (checkout / "benchmarks" / "run.py").is_file():
             raise SystemExit("bench_pairs.py: no benchmarks/run.py under %s" % checkout)
-    metrics = json.loads((sides["parent"] / "BENCHMARK.json").read_text())["end_to_end"]
+    named = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
+    metrics = named["end_to_end"]
 
     pairs, env = [], None
     for i, seed in enumerate(args.seeds):
@@ -153,6 +180,13 @@ def main(argv=None):
     print("failed share: parent %s, change %s%s" % (
         shares["parent"], shares["change"],
         "  CHANGE FAILS MORE" if (shares["change"] or 0) > (shares["parent"] or 0) else ""))
+    entry = {
+        "seeds": args.seeds, "seconds": args.seconds, "scale": args.scale,
+        "sides": {side: path.name for side, path in sides.items()},
+        "summary": summary, "failed_share": shares, "pairs": pairs,
+    }
+    if args.trace:
+        entry["trace"] = trace_sides(sides, args, named["per_layer"])
 
     report = json.loads(args.out.read_text()) if args.out.is_file() else {}
     report["environment"] = {
@@ -161,11 +195,7 @@ def main(argv=None):
         "benchmark": env,
         **{var: os.environ.get(var) for var in THREAD_VARS},
     }
-    report.setdefault("workloads", {})[args.workload] = {
-        "seeds": args.seeds, "seconds": args.seconds, "scale": args.scale,
-        "sides": {side: path.name for side, path in sides.items()},
-        "summary": summary, "failed_share": shares, "pairs": pairs,
-    }
+    report.setdefault("workloads", {})[args.workload] = entry
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 
 
